@@ -76,14 +76,18 @@ end
 
 (* -- the concrete interpreter ----------------------------------------------------- *)
 
+(* Per-object tables are indexed by object id, so every table the pass
+   keeps is sized once from the source's object-id bound — a file's
+   object count, or a sharded range's exit bound — and the allocation
+   records from the objects the range is expected to bear.  A source
+   with no bound (a text stream) starts small and grows. *)
+let obj_bound (src : Source.t) =
+  Option.value src.Source.n_objects_hint ~default:0
+
 let run_over analyses (src : Source.t) (en : entry) =
-  let hint =
-    match src.Source.n_objects_hint with
-    | Some n -> max 64 n
-    | None -> max 64 (Array.length en.en_carry)
-  in
-  let cur_size = Grow.create hint in
-  let birth_chain = Grow.create ~default:(-1) hint in
+  let objects = obj_bound src in
+  let cur_size = Grow.create objects in
+  let birth_chain = Grow.create ~default:(-1) objects in
   Array.iter
     (fun (cr : Binio.carry) ->
       Grow.set cur_size cr.Binio.cr_obj cr.Binio.cr_size;
@@ -259,57 +263,44 @@ module Site_profile = struct
     | _ -> Lifetime.Portable.of_site funcs ~rounding:cfg.pc_rounding site
 
   let enter cfg (src : Source.t) (en : entry) =
+    let objects = obj_bound src in
+    let allocs = objects - en.en_next_obj in
     let fold =
-      Lp_trace.Lifetimes.Fold.create
-        ~hint:(max 64 (Array.length en.en_carry))
-        ~start_clock:en.en_start_clock ~carry:en.en_carry ()
+      Lp_trace.Lifetimes.Fold.create ~objects ~allocs
+        ~start_clock:en.en_start_clock ~carry:en.en_carry
     in
-    let interned : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-    let n_sites = ref 0 in
-    let chains = ref [] and sizes = ref [] in
+    let sites = Pair_table.create 256 in
     let keys = ref [] and firsts = ref [] in
-    let alloc_site = Grow.create 1024 in
-    let n_allocs = ref 0 in
+    let alloc_site = Grow.create allocs in
     let step (ctx : ctx) ev =
       (match ev with
       | Event.Alloc { size; chain; key; _ } ->
-          let sid =
-            match Hashtbl.find_opt interned (chain, size) with
-            | Some id -> id
-            | None ->
-                let id = !n_sites in
-                incr n_sites;
-                Hashtbl.add interned (chain, size) id;
-                (* corrupt traces can carry unresolvable chain ids; key
-                   them like an empty chain rather than crashing *)
-                let raw_chain =
-                  if chain >= 0 && chain < src.Source.n_chains () then
-                    src.Source.chain chain
-                  else [||]
-                in
-                let site =
-                  Site.make cfg.pc_policy ~raw_chain ~key ~size
-                in
-                chains := chain :: !chains;
-                sizes := size :: !sizes;
-                keys := portable_of cfg (src.Source.funcs ()) site :: !keys;
-                firsts := ctx.cx_event :: !firsts;
-                id
-          in
-          Grow.set alloc_site !n_allocs sid;
-          incr n_allocs
+          let n_sites = Pair_table.length sites in
+          let sid = Pair_table.intern sites chain size in
+          if sid = n_sites then begin
+            (* corrupt traces can carry unresolvable chain ids; key
+               them like an empty chain rather than crashing *)
+            let raw_chain =
+              if chain >= 0 && chain < src.Source.n_chains () then
+                src.Source.chain chain
+              else [||]
+            in
+            let site = Site.make cfg.pc_policy ~raw_chain ~key ~size in
+            keys := portable_of cfg (src.Source.funcs ()) site :: !keys;
+            firsts := ctx.cx_event :: !firsts
+          end;
+          Grow.push alloc_site sid
       | _ -> ());
       Lp_trace.Lifetimes.Fold.step fold ev
     in
     let finish () =
       Summary
         {
-          sm_chains = Array.of_list (List.rev !chains);
-          sm_sizes = Array.of_list (List.rev !sizes);
+          sm_chains = Pair_table.chains sites;
+          sm_sizes = Pair_table.sizes sites;
           sm_keys = Array.of_list (List.rev !keys);
           sm_first_event = Array.of_list (List.rev !firsts);
-          sm_alloc_site =
-            Array.init !n_allocs (fun i -> Grow.get alloc_site i);
+          sm_alloc_site = Grow.freeze alloc_site;
           sm_fold = Lp_trace.Lifetimes.Fold.finish fold;
         }
     in
@@ -327,11 +318,11 @@ module Site_profile = struct
     (* intern sites and keys in range order, which is global
        first-appearance order — the invariant every ordering below
        (diagnostic order, quartile-histogram state) rests on *)
-    let site_ids : (int * int, int) Hashtbl.t = Hashtbl.create 1024 in
+    let site_ids = Pair_table.create 1024 in
     let key_ids : int Lifetime.Portable.Table.t =
       Lifetime.Portable.Table.create 256
     in
-    let sites_rev = ref [] and n_sites = ref 0 in
+    let sites_rev = ref [] in
     let keys_rev = ref [] and n_keys = ref 0 in
     let maps =
       List.map
@@ -339,51 +330,50 @@ module Site_profile = struct
           Array.mapi
             (fun l chain ->
               let size = s.sm_sizes.(l) in
-              match Hashtbl.find_opt site_ids (chain, size) with
-              | Some g -> g
-              | None ->
-                  let g = !n_sites in
-                  incr n_sites;
-                  Hashtbl.add site_ids (chain, size) g;
-                  let portable = s.sm_keys.(l) in
-                  let kid =
-                    match
-                      Lifetime.Portable.Table.find_opt key_ids portable
-                    with
-                    | Some k -> k
-                    | None ->
-                        let k = !n_keys in
-                        incr n_keys;
-                        Lifetime.Portable.Table.add key_ids portable k;
-                        keys_rev :=
-                          {
-                            ky_key = portable;
-                            ky_first_event = s.sm_first_event.(l);
-                            ky_sites = [];
-                            ky_count = 0;
-                            ky_short = 0;
-                            ky_survivors = 0;
-                            ky_max_lifetime = 0;
-                            ky_bytes = 0;
-                          }
-                          :: !keys_rev;
-                        k
-                  in
-                  sites_rev :=
-                    {
-                      st_chain = chain;
-                      st_size = size;
-                      st_key = kid;
-                      st_first_event = s.sm_first_event.(l);
-                      st_count = 0;
-                      st_short = 0;
-                      st_survivors = 0;
-                      st_max_lifetime = 0;
-                      st_bytes = 0;
-                      st_hist = Lp_quantile.Histogram.create ();
-                    }
-                    :: !sites_rev;
-                  g)
+              let n_sites = Pair_table.length site_ids in
+              let g = Pair_table.intern site_ids chain size in
+              if g < n_sites then g
+              else begin
+                let portable = s.sm_keys.(l) in
+                let kid =
+                  match
+                    Lifetime.Portable.Table.find_opt key_ids portable
+                  with
+                  | Some k -> k
+                  | None ->
+                      let k = !n_keys in
+                      incr n_keys;
+                      Lifetime.Portable.Table.add key_ids portable k;
+                      keys_rev :=
+                        {
+                          ky_key = portable;
+                          ky_first_event = s.sm_first_event.(l);
+                          ky_sites = [];
+                          ky_count = 0;
+                          ky_short = 0;
+                          ky_survivors = 0;
+                          ky_max_lifetime = 0;
+                          ky_bytes = 0;
+                        }
+                        :: !keys_rev;
+                      k
+                in
+                sites_rev :=
+                  {
+                    st_chain = chain;
+                    st_size = size;
+                    st_key = kid;
+                    st_first_event = s.sm_first_event.(l);
+                    st_count = 0;
+                    st_short = 0;
+                    st_survivors = 0;
+                    st_max_lifetime = 0;
+                    st_bytes = 0;
+                    st_hist = Lp_quantile.Histogram.create ();
+                  }
+                  :: !sites_rev;
+                g
+              end)
             s.sm_chains)
         sums
     in

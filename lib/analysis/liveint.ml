@@ -53,91 +53,78 @@ type merged = {
 
 type Absint.token += Summary of summary | Merged of merged
 
+module Grow = Lp_trace.Grow
+module Event = Lp_trace.Event
+
 let enter (_src : Lp_trace.Source.t) (_en : Absint.entry) =
-  let interned : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let n_sites = ref 0 in
-  let chains = ref [] and sizes = ref [] in
-  let net = Lp_trace.Grow.create 256 in
-  let relpeak = Lp_trace.Grow.create 256 in
-  let peak_event = Lp_trace.Grow.create 256 in
-  let glive_at_peak = Lp_trace.Grow.create 256 in
-  let allocs = Lp_trace.Grow.create 256 in
-  let alloc_bytes = Lp_trace.Grow.create 256 in
+  let sites = Pair_table.create 256 in
+  let net = Grow.create 256 in
+  let relpeak = Grow.create ~default:min_int 256 in
+  let peak_event = Grow.create ~default:(-1) 256 in
+  let glive_at_peak = Grow.create 256 in
+  let allocs = Grow.create 256 in
+  let alloc_bytes = Grow.create 256 in
   let gpeak = ref min_int and gpeak_event = ref (-1) in
-  let intern chain size =
-    match Hashtbl.find_opt interned (chain, size) with
-    | Some id -> id
-    | None ->
-        let id = !n_sites in
-        incr n_sites;
-        Hashtbl.add interned (chain, size) id;
-        chains := chain :: !chains;
-        sizes := size :: !sizes;
-        Lp_trace.Grow.set net id 0;
-        Lp_trace.Grow.set relpeak id min_int;
-        Lp_trace.Grow.set peak_event id (-1);
-        Lp_trace.Grow.set glive_at_peak id 0;
-        Lp_trace.Grow.set allocs id 0;
-        Lp_trace.Grow.set alloc_bytes id 0;
-        id
+  let site_delta ~event ~glive_post id delta =
+    let n = Grow.get net id + delta in
+    Grow.set net id n;
+    if n > Grow.get relpeak id then begin
+      Grow.set relpeak id n;
+      Grow.set peak_event id event;
+      Grow.set glive_at_peak id glive_post
+    end
   in
   let step (ctx : Absint.ctx) ev =
-    let site_delta ~event ~glive_post chain size delta =
-      let id = intern chain size in
-      let n = Lp_trace.Grow.get net id + delta in
-      Lp_trace.Grow.set net id n;
-      if n > Lp_trace.Grow.get relpeak id then begin
-        Lp_trace.Grow.set relpeak id n;
-        Lp_trace.Grow.set peak_event id event;
-        Lp_trace.Grow.set glive_at_peak id glive_post
-      end
-    in
     let event = ctx.Absint.cx_event in
     let gdelta =
       match ev with
-      | Lp_trace.Event.Alloc { size; _ } -> size
-      | Lp_trace.Event.Free { obj; _ } ->
+      | Event.Alloc { size; _ } -> size
+      | Event.Free { obj; _ } ->
           if obj >= 0 then -ctx.Absint.cx_cur_size obj else 0
-      | Lp_trace.Event.Realloc { obj; new_size; _ } ->
+      | Event.Realloc { obj; new_size; _ } ->
           if obj >= 0 then new_size - ctx.Absint.cx_cur_size obj else 0
-      | Lp_trace.Event.Touch _ -> 0
+      | Event.Touch _ -> 0
     in
     let glive_post = ctx.Absint.cx_live_bytes + gdelta in
     (match ev with
-    | Lp_trace.Event.Alloc { obj = _; size; chain; _ } ->
-        let id = intern chain size in
-        Lp_trace.Grow.set allocs id (Lp_trace.Grow.get allocs id + 1);
-        Lp_trace.Grow.set alloc_bytes id
-          (Lp_trace.Grow.get alloc_bytes id + size);
-        site_delta ~event ~glive_post chain size size
-    | Lp_trace.Event.Free { obj; _ } ->
-        if ctx.Absint.cx_born obj then
-          site_delta ~event ~glive_post
-            (ctx.Absint.cx_birth_chain obj)
-            (ctx.Absint.cx_cur_size obj)
-            (-ctx.Absint.cx_cur_size obj)
-    | Lp_trace.Event.Realloc { obj; new_size; _ } ->
+    | Event.Alloc { size; chain; _ } ->
+        let id = Pair_table.intern sites chain size in
+        Grow.set allocs id (Grow.get allocs id + 1);
+        Grow.set alloc_bytes id (Grow.get alloc_bytes id + size);
+        site_delta ~event ~glive_post id size
+    | Event.Free { obj; _ } ->
+        if ctx.Absint.cx_born obj then begin
+          let cur = ctx.Absint.cx_cur_size obj in
+          let id =
+            Pair_table.intern sites (ctx.Absint.cx_birth_chain obj) cur
+          in
+          site_delta ~event ~glive_post id (-cur)
+        end
+    | Event.Realloc { obj; new_size; _ } ->
         if ctx.Absint.cx_born obj then begin
           let chain = ctx.Absint.cx_birth_chain obj in
           let cur = ctx.Absint.cx_cur_size obj in
           (* the object's bytes migrate between its birth chain's size
              buckets: close the old interval, open the new one *)
-          site_delta ~event ~glive_post chain cur (-cur);
-          site_delta ~event ~glive_post chain new_size new_size
+          site_delta ~event ~glive_post (Pair_table.intern sites chain cur)
+            (-cur);
+          site_delta ~event ~glive_post
+            (Pair_table.intern sites chain new_size)
+            new_size
         end
-    | Lp_trace.Event.Touch _ -> ());
+    | Event.Touch _ -> ());
     if glive_post > !gpeak then begin
       gpeak := glive_post;
       gpeak_event := event
     end
   in
   let finish () =
-    let n = !n_sites in
-    let arr g = Array.init n (Lp_trace.Grow.get g) in
+    let n = Pair_table.length sites in
+    let arr g = Array.init n (Grow.get g) in
     Summary
       {
-        lv_chains = Array.of_list (List.rev !chains);
-        lv_sizes = Array.of_list (List.rev !sizes);
+        lv_chains = Pair_table.chains sites;
+        lv_sizes = Pair_table.sizes sites;
         lv_net = arr net;
         lv_relpeak = arr relpeak;
         lv_peak_event = arr peak_event;
@@ -154,82 +141,57 @@ let unpack = function
   | Summary s -> s
   | _ -> invalid_arg "Liveint: foreign token"
 
-type acc = {
-  ac_chain : int;
-  ac_size : int;
-  mutable ac_entry : int;  (** live bytes at the next range's entry *)
-  mutable ac_peak : int;
-  mutable ac_peak_event : int;
-  mutable ac_foreign : int;
-  mutable ac_allocs : int;
-  mutable ac_alloc_bytes : int;
-}
-
+(* Sites are interned in range order, which is global first-appearance
+   order; per merged site the running sums below are the sequential
+   pass's state at each range boundary. *)
 let merge tokens =
   let sums = List.map unpack tokens in
-  let site_ids : (int * int, acc) Hashtbl.t = Hashtbl.create 1024 in
-  let accs_rev = ref [] in
+  let sites = Pair_table.create 1024 in
+  let entry = Grow.create 1024 in  (* live bytes at the next range's entry *)
+  let peak = Grow.create ~default:min_int 1024 in
+  let peak_event = Grow.create ~default:(-1) 1024 in
+  let foreign = Grow.create 1024 in
+  let allocs = Grow.create 1024 in
+  let alloc_bytes = Grow.create 1024 in
   let gpeak = ref min_int and gpeak_event = ref (-1) in
   List.iter
     (fun s ->
       Array.iteri
         (fun l chain ->
-          let size = s.lv_sizes.(l) in
-          let a =
-            match Hashtbl.find_opt site_ids (chain, size) with
-            | Some a -> a
-            | None ->
-                let a =
-                  {
-                    ac_chain = chain;
-                    ac_size = size;
-                    ac_entry = 0;
-                    ac_peak = min_int;
-                    ac_peak_event = -1;
-                    ac_foreign = 0;
-                    ac_allocs = 0;
-                    ac_alloc_bytes = 0;
-                  }
-                in
-                Hashtbl.add site_ids (chain, size) a;
-                accs_rev := a :: !accs_rev;
-                a
-          in
+          let g = Pair_table.intern sites chain s.lv_sizes.(l) in
           (* the range's relative peak shifted by the site's absolute
              entry level; strict > keeps the earliest attainment, since
              ranges arrive in order *)
-          let candidate = a.ac_entry + s.lv_relpeak.(l) in
-          if candidate > a.ac_peak then begin
-            a.ac_peak <- candidate;
-            a.ac_peak_event <- s.lv_peak_event.(l);
-            a.ac_foreign <- s.lv_glive_at_peak.(l) - candidate
+          let candidate = Grow.get entry g + s.lv_relpeak.(l) in
+          if candidate > Grow.get peak g then begin
+            Grow.set peak g candidate;
+            Grow.set peak_event g s.lv_peak_event.(l);
+            Grow.set foreign g (s.lv_glive_at_peak.(l) - candidate)
           end;
-          a.ac_entry <- a.ac_entry + s.lv_net.(l);
-          a.ac_allocs <- a.ac_allocs + s.lv_allocs.(l);
-          a.ac_alloc_bytes <- a.ac_alloc_bytes + s.lv_alloc_bytes.(l))
+          Grow.set entry g (Grow.get entry g + s.lv_net.(l));
+          Grow.set allocs g (Grow.get allocs g + s.lv_allocs.(l));
+          Grow.set alloc_bytes g (Grow.get alloc_bytes g + s.lv_alloc_bytes.(l)))
         s.lv_chains;
       if s.lv_gpeak > !gpeak then begin
         gpeak := s.lv_gpeak;
         gpeak_event := s.lv_gpeak_event
       end)
     sums;
-  let accs = Array.of_list (List.rev !accs_rev) in
+  let n = Pair_table.length sites in
   Merged
     {
       lm_sites =
-        Array.map
-          (fun a ->
+        Array.init n (fun g ->
             {
-              li_chain = a.ac_chain;
-              li_size = a.ac_size;
-              li_peak = a.ac_peak;
-              li_peak_event = a.ac_peak_event;
-              li_foreign_at_peak = a.ac_foreign;
-              li_allocs = a.ac_allocs;
-              li_alloc_bytes = a.ac_alloc_bytes;
-            })
-          accs;
-      lm_n_sites = Array.length accs;
+              li_chain = Pair_table.chain sites g;
+              li_size = Pair_table.size sites g;
+              li_peak = Grow.get peak g;
+              li_peak_event = Grow.get peak_event g;
+              li_foreign_at_peak = Grow.get foreign g;
+              li_allocs = Grow.get allocs g;
+              li_alloc_bytes = Grow.get alloc_bytes g;
+            });
+      lm_n_sites = n;
       lm_gpeak = !gpeak;
       lm_gpeak_event = !gpeak_event;
     }

@@ -34,24 +34,29 @@ let create p =
 let count t = t.count
 let p t = t.p
 
-(* Parabolic prediction of the height of marker [i] moved by [d] (±1). *)
+(* Parabolic prediction of the height of marker [i] moved by [d] (±1).
+   [float_of_int] is applied directly: through a local alias the
+   compiler calls it out of line and boxes every result. *)
 let parabolic t i d =
   let q = t.q and n = t.n in
-  let fi = float_of_int in
-  let d = fi d in
+  let d = float_of_int d in
   q.(i)
   +. d
-     /. fi (n.(i + 1) - n.(i - 1))
-     *. ((fi (n.(i) - n.(i - 1)) +. d)
+     /. float_of_int (n.(i + 1) - n.(i - 1))
+     *. ((float_of_int (n.(i) - n.(i - 1)) +. d)
          *. (q.(i + 1) -. q.(i))
-         /. fi (n.(i + 1) - n.(i))
-        +. (fi (n.(i + 1) - n.(i)) -. d)
+         /. float_of_int (n.(i + 1) - n.(i))
+        +. (float_of_int (n.(i + 1) - n.(i)) -. d)
            *. (q.(i) -. q.(i - 1))
-           /. fi (n.(i) - n.(i - 1)))
+           /. float_of_int (n.(i) - n.(i - 1)))
 
 let linear t i d =
   let q = t.q and n = t.n in
   q.(i) +. float_of_int d *. (q.(i + d) -. q.(i)) /. float_of_int (n.(i + d) - n.(i))
+
+(* the cell [i] with [q.(i) <= x < q.(i+1)], for [x] inside the extreme
+   markers; top level, so locating a cell allocates no closure *)
+let rec cell q x i = if x < q.(i + 1) then i else cell q x (i + 1)
 
 let observe t x =
   if t.count < 5 then begin
@@ -74,10 +79,7 @@ let observe t x =
         t.q.(4) <- x;
         3
       end
-      else begin
-        let rec find i = if x < t.q.(i + 1) then i else find (i + 1) in
-        find 0
-      end
+      else cell t.q x 0
     in
     for i = k + 1 to 4 do
       t.n.(i) <- t.n.(i) + 1

@@ -501,18 +501,30 @@ let read_byte c =
 (* Full-width counterpart of [add_varint_bits]: accepts up to
    [Sys.int_size] significant bits (9 bytes on a 64-bit platform) and
    rejects — with the offending byte offset — any encoding that would
-   overflow the native int instead of silently wrapping. *)
+   overflow the native int instead of silently wrapping.  Most varints
+   in a trace are one byte, so [read_varint_bits] takes those inline
+   and leaves the general loop to [read_varint_groups]; both are
+   top-level functions, so a read allocates nothing. *)
+let rec read_varint_groups c shift acc =
+  if shift >= Sys.int_size then fail c "varint too long";
+  let byte = read_byte c in
+  let group = byte land 0x7f in
+  if shift > Sys.int_size - 7 && group lsr (Sys.int_size - shift) <> 0 then
+    fail c "varint overflows the native int width";
+  let acc = acc lor (group lsl shift) in
+  if byte land 0x80 = 0 then acc else read_varint_groups c (shift + 7) acc
+
 let read_varint_bits c =
-  let rec go shift acc =
-    if shift >= Sys.int_size then fail c "varint too long";
-    let byte = read_byte c in
-    let group = byte land 0x7f in
-    if shift > Sys.int_size - 7 && group lsr (Sys.int_size - shift) <> 0 then
-      fail c "varint overflows the native int width";
-    let acc = acc lor (group lsl shift) in
-    if byte land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+  let pos = c.pos in
+  if pos < c.len then begin
+    let byte = Char.code (Bigarray.Array1.unsafe_get c.buf pos) in
+    if byte < 0x80 then begin
+      c.pos <- pos + 1;
+      byte
+    end
+    else read_varint_groups c 0 0
+  end
+  else read_varint_groups c 0 0
 
 let read_varint c =
   let v = read_varint_bits c in
@@ -878,62 +890,77 @@ let decoder_tag d id =
 
 let decoder_n_tags d = d.tbl.n_tags
 
+(* The per-event decode is a set of top-level functions rather than
+   closures built inside [read_event], so decoding an event allocates
+   only the event itself.  The order of reads and checks is part of the
+   error contract — a site id is read and checked before the object it
+   allocates, a size after — because it fixes the byte offset each
+   failure reports. *)
+let site_def d what id =
+  if id < 0 || id >= d.tbl.n_sites then
+    fail d.c (Printf.sprintf "%s references unknown site %d" what id);
+  d.tbl.site_defs.(id)
+
+let check_obj d what obj =
+  if obj < 0 || obj >= d.hdr.n_objects then
+    fail d.c (Printf.sprintf "%s of out-of-range object %d" what obj)
+
+let decode_alloc d obj (chain, key, tag) =
+  check_obj d "alloc" obj;
+  d.prev_alloc <- obj;
+  let size = read_varint d.c in
+  Event.Alloc { obj; size; chain; key; tag }
+
+(* an implicit-object alloc at the site id [site] *)
+let decode_next_alloc d site =
+  let def = site_def d "alloc" site in
+  decode_alloc d (d.prev_alloc + 1) def
+
+let decode_free d ~size delta =
+  let obj = d.prev_free + delta in
+  check_obj d "free" obj;
+  d.prev_free <- obj;
+  Event.Free { obj; size }
+
+let decode_touch d delta count =
+  let obj = d.prev_touch + delta in
+  check_obj d "touch" obj;
+  d.prev_touch <- obj;
+  Event.Touch { obj; count }
+
+let decode_realloc d delta (chain, key, tag) =
+  let obj = d.prev_realloc + delta in
+  check_obj d "realloc" obj;
+  d.prev_realloc <- obj;
+  let old_size = read_varint d.c in
+  let new_size = read_varint d.c in
+  Event.Realloc { obj; old_size; new_size; chain; key; tag }
+
 let read_event d =
   let c = d.c in
-  let alloc_base = alloc_base_of_version d.version in
-  let site what id =
-    if id < 0 || id >= d.tbl.n_sites then
-      fail c (Printf.sprintf "%s references unknown site %d" what id);
-    d.tbl.site_defs.(id)
-  in
-  let check_obj what obj =
-    if obj < 0 || obj >= d.hdr.n_objects then
-      fail c (Printf.sprintf "%s of out-of-range object %d" what obj);
-    obj
-  in
-  let alloc obj (chain, key, tag) =
-    let obj = check_obj "alloc" obj in
-    d.prev_alloc <- obj;
-    let size = read_varint c in
-    Event.Alloc { obj; size; chain; key; tag }
-  in
-  let free ?(size = -1) delta =
-    let obj = check_obj "free" (d.prev_free + delta) in
-    d.prev_free <- obj;
-    Event.Free { obj; size }
-  in
-  let touch delta count =
-    let obj = check_obj "touch" (d.prev_touch + delta) in
-    d.prev_touch <- obj;
-    Event.Touch { obj; count }
-  in
-  let realloc delta (chain, key, tag) =
-    let obj = check_obj "realloc" (d.prev_realloc + delta) in
-    d.prev_realloc <- obj;
-    let old_size = read_varint c in
-    let new_size = read_varint c in
-    Event.Realloc { obj; old_size; new_size; chain; key; tag }
-  in
   match read_byte c with
-  | 0x00 -> alloc (d.prev_alloc + 1) (site "alloc" (read_varint c))
+  | 0x00 -> decode_next_alloc d (read_varint c)
   | 0x01 ->
       let obj = read_varint c in
-      alloc obj (site "alloc" (read_varint c))
-  | 0x02 -> free (read_zigzag c)
+      let def = site_def d "alloc" (read_varint c) in
+      decode_alloc d obj def
+  | 0x02 -> decode_free d ~size:(-1) (read_zigzag c)
   | 0x03 ->
       let delta = read_zigzag c in
-      touch delta (read_varint c)
+      decode_touch d delta (read_varint c)
   | op when d.version >= version_sized && op = sized_free_op ->
       let delta = read_zigzag c in
-      free ~size:(read_varint c) delta
+      decode_free d ~size:(read_varint c) delta
   | op when d.version >= version_sharded && op = realloc_op ->
       let delta = read_zigzag c in
-      realloc delta (site "realloc" (read_varint c))
-  | op when d.version >= version_sized && op < alloc_base ->
+      decode_realloc d delta (site_def d "realloc" (read_varint c))
+  | op when d.version >= version_sized && op < alloc_base_of_version d.version
+    ->
       fail c (Printf.sprintf "reserved opcode %#x" op)
-  | op when op < 0x40 -> alloc (d.prev_alloc + 1) (site "alloc" (op - alloc_base))
-  | op when op < 0x80 -> free (unzigzag (op land 0x3f))
-  | op -> touch (unzigzag ((op lsr 4) land 0x7)) ((op land 0xf) + 1)
+  | op when op < 0x40 ->
+      decode_next_alloc d (op - alloc_base_of_version d.version)
+  | op when op < 0x80 -> decode_free d ~size:(-1) (unzigzag (op land 0x3f))
+  | op -> decode_touch d (unzigzag ((op lsr 4) land 0x7)) ((op land 0xf) + 1)
 
 let reset_deltas d =
   d.prev_alloc <- -1;

@@ -37,3 +37,42 @@ let set t i x =
 
 let push t x = set t t.len x
 let to_array t = Array.sub t.data 0 t.len
+
+let freeze t =
+  if t.len = Array.length t.data then t.data else to_array t
+
+module Flags = struct
+  type t = { mutable bytes : Bytes.t }
+
+  let create hint = { bytes = Bytes.make (max 16 hint) '\000' }
+
+  let ensure t n =
+    if n > Bytes.length t.bytes then begin
+      if n > Sys.max_string_length then
+        failwith
+          (Printf.sprintf
+             "Grow.Flags.ensure: requested length %d exceeds \
+              Sys.max_string_length (%d)"
+             n Sys.max_string_length);
+      let cap = ref (Bytes.length t.bytes) in
+      while n > !cap do
+        cap :=
+          if !cap >= Sys.max_string_length / 2 then Sys.max_string_length
+          else 2 * !cap
+      done;
+      let grown = Bytes.make !cap '\000' in
+      Bytes.blit t.bytes 0 grown 0 (Bytes.length t.bytes);
+      t.bytes <- grown
+    end
+
+  let get t i =
+    if i < Bytes.length t.bytes then Char.code (Bytes.unsafe_get t.bytes i)
+    else 0
+
+  let add t i bits =
+    ensure t (i + 1);
+    Bytes.unsafe_set t.bytes i
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.bytes i) lor bits))
+
+  let mem t i bit = get t i land bit <> 0
+end

@@ -104,9 +104,9 @@ type range_fold = {
   rf_a_obj : int array;
   rf_a_size : int array;
   rf_touched : int array;
-  rf_born : int array;
+  rf_born : Bytes.t;
   rf_birth : int array;
-  rf_freed : int array;
+  rf_freed : Bytes.t;
   rf_life : int array;
   rf_end_clock : int;
 }
@@ -116,33 +116,38 @@ type range_fold = {
    with lifetime accumulation (the audit engine's analyses) drive a
    [Fold.t] from their own event loop instead of duplicating the clock
    and birth/free bookkeeping.  [fold_range] below is the one-shot loop
-   over it. *)
+   over it.
+
+   Per-object state is indexed by absolute object id: two word tables
+   (birth clock, lifetime) and one flag byte holding the born, freed and
+   touched bits.  The caller sizes them from the range's object-id bound
+   ([objects]) and its allocation records from the expected allocation
+   count ([allocs]); both still grow if a source outruns them. *)
 module Fold = struct
+  let born = 1
+  let freed = 2
+  let touched = 4
+
   type t = {
     f_a_obj : Grow.t;
     f_a_size : Grow.t;
     f_birth : Grow.t;
-    f_born : Grow.t;
-    f_freed : Grow.t;
     f_life : Grow.t;
+    f_flags : Grow.Flags.t;
     f_touched : Grow.t;
-    f_stamp : Grow.t;
     mutable f_n_allocs : int;
     mutable f_clock : int;
   }
 
-  let create ?(hint = 64) ~start_clock ~carry () =
-    let hint = max hint (Array.length carry) in
+  let create ~objects ~allocs ~start_clock ~carry =
     let t =
       {
-        f_a_obj = Grow.create 1024;
-        f_a_size = Grow.create 1024;
-        f_birth = Grow.create hint;
-        f_born = Grow.create hint;
-        f_freed = Grow.create hint;
-        f_life = Grow.create hint;
-        f_touched = Grow.create 256;
-        f_stamp = Grow.create hint;
+        f_a_obj = Grow.create allocs;
+        f_a_size = Grow.create allocs;
+        f_birth = Grow.create objects;
+        f_life = Grow.create objects;
+        f_flags = Grow.Flags.create objects;
+        f_touched = Grow.create (max 256 (allocs + Array.length carry));
         f_n_allocs = 0;
         f_clock = start_clock;
       }
@@ -156,49 +161,58 @@ module Fold = struct
   let clock t = t.f_clock
   let n_allocs t = t.f_n_allocs
 
-  let touch t obj =
-    if Grow.get t.f_stamp obj = 0 then begin
-      Grow.set t.f_stamp obj 1;
-      Grow.push t.f_touched obj
-    end
+  let touch t obj bit =
+    if not (Grow.Flags.mem t.f_flags obj touched) then
+      Grow.push t.f_touched obj;
+    Grow.Flags.add t.f_flags obj (bit lor touched)
 
   let step t = function
     | Event.Alloc { obj; size; _ } ->
         Grow.push t.f_a_obj obj;
         Grow.push t.f_a_size size;
         t.f_n_allocs <- t.f_n_allocs + 1;
-        touch t obj;
-        Grow.set t.f_born obj 1;
+        touch t obj born;
         Grow.set t.f_birth obj t.f_clock;
         t.f_clock <- t.f_clock + size
     | Event.Free { obj; _ } ->
-        touch t obj;
-        Grow.set t.f_freed obj 1;
+        touch t obj freed;
         Grow.set t.f_life obj (t.f_clock - Grow.get t.f_birth obj)
     | Event.Realloc { old_size; new_size; _ } ->
         t.f_clock <- t.f_clock + max 0 (new_size - old_size)
     | Event.Touch _ -> ()
 
   let finish t =
-    let touched = Grow.to_array t.f_touched in
+    let touched = Grow.freeze t.f_touched in
+    let n = Array.length touched in
+    let born_b = Bytes.make n '\000' and freed_b = Bytes.make n '\000' in
+    let birth = Array.make n 0 and life = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let obj = touched.(i) in
+      let flags = Grow.Flags.get t.f_flags obj in
+      if flags land born <> 0 then Bytes.set born_b i '\001';
+      if flags land freed <> 0 then Bytes.set freed_b i '\001';
+      birth.(i) <- Grow.get t.f_birth obj;
+      life.(i) <- Grow.get t.f_life obj
+    done;
     {
-      rf_a_obj = Grow.to_array t.f_a_obj;
-      rf_a_size = Grow.to_array t.f_a_size;
+      rf_a_obj = Grow.freeze t.f_a_obj;
+      rf_a_size = Grow.freeze t.f_a_size;
       rf_touched = touched;
-      rf_born = Array.map (Grow.get t.f_born) touched;
-      rf_birth = Array.map (Grow.get t.f_birth) touched;
-      rf_freed = Array.map (Grow.get t.f_freed) touched;
-      rf_life = Array.map (Grow.get t.f_life) touched;
+      rf_born = born_b;
+      rf_birth = birth;
+      rf_freed = freed_b;
+      rf_life = life;
       rf_end_clock = t.f_clock;
     }
 end
 
 let fold_range ?on_alloc (rg : Sharded.range) =
   let src = Sharded.range_source rg in
+  let objects = Option.value src.Source.n_objects_hint ~default:0 in
   let fold =
-    Fold.create
-      ~hint:(max 64 (Array.length rg.Sharded.rg_carry))
-      ~start_clock:rg.Sharded.rg_start_clock ~carry:rg.Sharded.rg_carry ()
+    Fold.create ~objects
+      ~allocs:(objects - rg.Sharded.rg_next_obj)
+      ~start_clock:rg.Sharded.rg_start_clock ~carry:rg.Sharded.rg_carry
   in
   Source.iter
     (fun ev ->
@@ -210,40 +224,51 @@ let fold_range ?on_alloc (rg : Sharded.range) =
   Fold.finish fold
 
 (* final per-object state after applying a covering partition's folds in
-   range order; growable so corrupt traces with out-of-range object ids
-   degrade exactly like the sequential pass instead of crashing *)
+   range order, in tables sized to the largest object id the folds
+   touched; lookups outside it read as never-allocated survivors, the
+   same default the sequential pass's growable tables give *)
 type resolved = {
-  rv_birth : Grow.t;
-  rv_life : Grow.t;
-  rv_surv : Grow.t;
+  rv_birth : int array;
+  rv_life : int array;
+  rv_freed : Bytes.t;
   rv_end_clock : int;
 }
 
 let resolve folds =
-  let birth = Grow.create 1024 in
-  let life = Grow.create 1024 in
-  let surv = Grow.create ~default:1 1024 in
+  let bound = ref 0 in
+  List.iter
+    (fun f ->
+      Array.iter (fun obj -> if obj >= !bound then bound := obj + 1) f.rf_touched)
+    folds;
+  let bound = !bound in
+  let birth = Array.make bound 0 in
+  let life = Array.make bound 0 in
+  let freed = Bytes.make bound '\000' in
   let end_clock =
     List.fold_left (fun _ f -> f.rf_end_clock) 0 folds
   in
   List.iter
     (fun f ->
-      Array.iteri
-        (fun i obj ->
-          if f.rf_born.(i) = 1 then Grow.set birth obj f.rf_birth.(i);
-          if f.rf_freed.(i) = 1 then begin
-            Grow.set life obj f.rf_life.(i);
-            Grow.set surv obj 0
-          end)
-        f.rf_touched)
+      for i = 0 to Array.length f.rf_touched - 1 do
+        let obj = f.rf_touched.(i) in
+        if Bytes.get f.rf_born i = '\001' then birth.(obj) <- f.rf_birth.(i);
+        if Bytes.get f.rf_freed i = '\001' then begin
+          life.(obj) <- f.rf_life.(i);
+          Bytes.set freed obj '\001'
+        end
+      done)
     folds;
-  { rv_birth = birth; rv_life = life; rv_surv = surv; rv_end_clock = end_clock }
+  { rv_birth = birth; rv_life = life; rv_freed = freed; rv_end_clock = end_clock }
 
-let resolved_survived r obj = Grow.get r.rv_surv obj = 1
+let in_bounds r obj = obj >= 0 && obj < Array.length r.rv_birth
+
+let resolved_survived r obj =
+  not (in_bounds r obj && Bytes.get r.rv_freed obj = '\001')
 
 let resolved_lifetime r obj =
-  if resolved_survived r obj then r.rv_end_clock - Grow.get r.rv_birth obj
-  else Grow.get r.rv_life obj
+  if not (in_bounds r obj) then r.rv_end_clock
+  else if Bytes.get r.rv_freed obj = '\001' then r.rv_life.(obj)
+  else r.rv_end_clock - r.rv_birth.(obj)
 
 let resolved_end_clock r = r.rv_end_clock
 

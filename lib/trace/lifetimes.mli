@@ -58,9 +58,9 @@ type range_fold = {
   rf_a_obj : int array;  (** objects of the range's allocs, event order *)
   rf_a_size : int array;
   rf_touched : int array;  (** objects whose state the range wrote *)
-  rf_born : int array;  (** 1 iff allocated in the range (per touched) *)
+  rf_born : Bytes.t;  (** ['\001'] iff allocated in the range (per touched) *)
   rf_birth : int array;  (** last in-range birth clock (absolute) *)
-  rf_freed : int array;  (** 1 iff freed in the range (per touched) *)
+  rf_freed : Bytes.t;  (** ['\001'] iff freed in the range (per touched) *)
   rf_life : int array;  (** last in-range free's lifetime *)
   rf_end_clock : int;  (** absolute clock after the range's last event *)
 }
@@ -84,8 +84,15 @@ module Fold : sig
   type t
 
   val create :
-    ?hint:int -> start_clock:int -> carry:Binio.carry array -> unit -> t
-  (** [hint] pre-sizes the per-object tables (at least the carry size). *)
+    objects:int ->
+    allocs:int ->
+    start_clock:int ->
+    carry:Binio.carry array ->
+    t
+  (** [objects] pre-sizes the per-object tables, which are indexed by
+      object id, so it should be the range's object-id bound; [allocs]
+      pre-sizes the allocation records.  Both are only sizes: ids or
+      allocations beyond them grow the tables. *)
 
   val clock : t -> int
   (** Absolute allocation clock {e before} the next event. *)
@@ -94,7 +101,10 @@ module Fold : sig
   (** Allocation records pushed so far. *)
 
   val step : t -> Event.t -> unit
+
   val finish : t -> range_fold
+  (** Hands the fold's tables over to the result: the fold must not be
+      stepped or finished again. *)
 end
 
 type resolved

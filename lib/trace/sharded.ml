@@ -14,13 +14,17 @@ let of_string ?name s = of_bigarray ?name (Binio.big_of_string s)
 
 let load path =
   match Io.map_file path with
-  | Some buf -> of_bigarray ~name:path buf
+  | Some buf ->
+      Lp_obs.Timings.count "trace.bytes_read" (Bigarray.Array1.dim buf);
+      of_bigarray ~name:path buf
   | None ->
       let ic = open_in_bin path in
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          of_string ~name:path (really_input_string ic (in_channel_length ic)))
+          let s = really_input_string ic (in_channel_length ic) in
+          Lp_obs.Timings.count "trace.bytes_read" (String.length s);
+          of_string ~name:path s)
 
 let header t = Binio.indexed_header t.ix
 let name t = Binio.indexed_name t.ix
@@ -125,6 +129,18 @@ let range t ~first ~count =
 
 let source t = Source.of_indexed t.ix
 
+(* The object ids a range names are bounded by the next dense-birth id
+   at range exit: its own allocations stay below it, and carried objects
+   were born before the range.  Handing that bound down as the source's
+   object hint lets every fold size its id-indexed tables once. *)
 let range_source rg =
-  Source.sub (source rg.rg_trace) ~first:rg.rg_first_event
-    ~count:rg.rg_n_events
+  let t = rg.rg_trace in
+  let exit = rg.rg_first_chunk + rg.rg_n_chunks in
+  let bound =
+    if exit < n_chunks t then (chunks t).(exit).Binio.ch_next_obj
+    else (header t).Binio.n_objects
+  in
+  let src =
+    Source.sub (source t) ~first:rg.rg_first_event ~count:rg.rg_n_events
+  in
+  { src with Source.n_objects_hint = Some bound }

@@ -15,7 +15,8 @@
 type t
 
 val load : string -> t
-(** Memory-map and index a sharded trace file.
+(** Memory-map and index a sharded trace file, counting the file's bytes
+    in the [trace.bytes_read] timing counter.
     @raise Failure if unreadable, malformed, or not version 3 ([lpalloc
     convert --v3] produces one). *)
 
@@ -56,4 +57,7 @@ val source : t -> Source.t
 
 val range_source : range -> Source.t
 (** Stream exactly the range's events (complete tables visible from the
-    start).  Fresh cursor per call; safe to call on any domain. *)
+    start).  Its [n_objects_hint] is the range's object-id bound: the
+    next dense-birth object id at range exit (the header's object count
+    for a range that ends the trace).  Fresh cursor per call; safe to
+    call on any domain. *)

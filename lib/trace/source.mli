@@ -34,7 +34,9 @@ type t = {
   program : string;
   input : string;
   n_objects_hint : int option;
-      (** final object count when known up front (file headers, traces) *)
+      (** bound on the object ids the stream names, when known up front:
+          the final object count of file headers and traces, the exit
+          object-id bound of a sharded range ({!Sharded.range_source}) *)
   n_events_hint : int option;
   funcs : unit -> Lp_callchain.Func.table;
       (** thunk: a generator's table exists only once it has started *)

@@ -2,8 +2,10 @@
    collision and a coverage-gap model, asserting exact rule ids and
    sites), unit checks for the threshold-sensitivity band and the
    overlap hotspot, qcheck equivalence of the materialized, streamed
-   and sharded paths at 1 and 4 domains, SARIF output sanity, and a
-   drift check pinning the README's rules table to the registry. *)
+   and sharded paths at 1 and 4 domains (and of an unhinted text stream,
+   whose per-object tables grow), the (chain, size) pair table against
+   a Hashtbl model, SARIF output sanity, and a drift check pinning the
+   README's rules table to the registry. *)
 
 module D = Lp_analysis.Diagnostic
 module Audit = Lp_analysis.Audit
@@ -175,6 +177,89 @@ let audit_equivalence_realloc =
     (QCheck.make Test_stream.random_realloc_trace_gen)
     check_equivalence
 
+(* -- growth fallback: a source with no object-count hint ------------------------- *)
+
+(* a text stream announces no object count, so every per-object table of
+   the audit pass starts small and grows; its diagnostics must still be
+   the materialized run's, which sizes every table up front *)
+let audit_text_stream_growth () =
+  let trace = Lp_workloads.Registry.trace ~program:"perl" ~input:"tiny" () in
+  Alcotest.(check bool)
+    "enough objects to outgrow the fallback tables" true
+    (trace.Lp_trace.Trace.n_objects > 4096);
+  let opts = Audit.default_options in
+  let expect = D.list_to_json (Audit.run opts trace) in
+  let src =
+    Source.of_string ~name:"perl-tiny.txt" (Lp_trace.Textio.to_string trace)
+  in
+  Alcotest.(check (option int)) "no object hint" None src.Source.n_objects_hint;
+  Alcotest.(check string) "text-stream audit" expect
+    (D.list_to_json (Audit.run_source opts src))
+
+(* -- the (chain, size) pair table ------------------------------------------------ *)
+
+module Pair_table = Lp_analysis.Pair_table
+
+(* interning against a polymorphic Hashtbl model: ids in first-appearance
+   order and repeats resolving to the first id, over negative
+   (unresolvable) chains, sizes past 2^31, the int range's ends, and
+   pairs built to share a slot at every table size up to 1024 *)
+let pair_table_model () =
+  let colliding =
+    let rec go acc n c =
+      if n = 0 then List.rev acc
+      else if Pair_table.hash c 48 land 1023 = 0 then go ((c, 48) :: acc) (n - 1) (c + 1)
+      else go acc n (c + 1)
+    in
+    go [] 40 (-5000)
+  in
+  List.iter
+    (fun (c, s) ->
+      Alcotest.(check int) "same slot" 0 (Pair_table.hash c s land 1023))
+    colliding;
+  let special =
+    [ (-1, 16); (16, -1); (-1, 17); (-2, 16); (0, 1 lsl 31); (0, (1 lsl 31) + 1);
+      (1, 1 lsl 31); (-1, 1 lsl 40); (min_int, max_int); (max_int, min_int);
+      (0, 0); (0, 1); (1, 0) ]
+  in
+  let rng = Random.State.make [| 12 |] in
+  let random =
+    List.init 500 (fun _ ->
+        ( Random.State.int rng 64 - 8,
+          if Random.State.bool rng then Random.State.int rng 4096
+          else (1 lsl 31) + Random.State.int rng 64 ))
+  in
+  let pairs = special @ colliding @ random @ List.rev special @ colliding in
+  let t = Pair_table.create 1 in
+  let model = Hashtbl.create 64 in
+  List.iter
+    (fun (c, s) ->
+      let expect =
+        match Hashtbl.find_opt model (c, s) with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length model in
+            Hashtbl.add model (c, s) id;
+            id
+      in
+      Alcotest.(check int) (Printf.sprintf "intern (%d, %d)" c s) expect
+        (Pair_table.intern t c s))
+    pairs;
+  Alcotest.(check int) "length" (Hashtbl.length model) (Pair_table.length t);
+  Hashtbl.iter
+    (fun (c, s) id ->
+      Alcotest.(check int) "chain" c (Pair_table.chain t id);
+      Alcotest.(check int) "size" s (Pair_table.size t id))
+    model;
+  let chains = Pair_table.chains t and sizes = Pair_table.sizes t in
+  Alcotest.(check int) "chains in id order" (Hashtbl.length model)
+    (Array.length chains);
+  Array.iteri
+    (fun id c ->
+      Alcotest.(check (option int)) "chains/sizes in id order" (Some id)
+        (Hashtbl.find_opt model (c, sizes.(id))))
+    chains
+
 (* -- SARIF ---------------------------------------------------------------------- *)
 
 let contains hay needle =
@@ -239,5 +324,9 @@ let suites =
         Alcotest.test_case "README rules table" `Quick readme_rules_table;
         QCheck_alcotest.to_alcotest audit_equivalence;
         QCheck_alcotest.to_alcotest audit_equivalence_realloc;
+        Alcotest.test_case "audit of an unhinted text stream" `Quick
+          audit_text_stream_growth;
+        Alcotest.test_case "pair table against a Hashtbl model" `Quick
+          pair_table_model;
       ] );
   ]

@@ -124,6 +124,52 @@ let grow_capacity_overflow () =
   Lp_trace.Grow.ensure g 64;
   Alcotest.(check int) "normal growth still works" 7 (Lp_trace.Grow.get g 2)
 
+(* -- satellite: flag bytes and zero-copy freeze ------------------------------------- *)
+
+let grow_flags_and_freeze () =
+  let f = Lp_trace.Grow.Flags.create 2 in
+  Alcotest.(check int) "unwritten reads 0" 0 (Lp_trace.Grow.Flags.get f 1000);
+  Lp_trace.Grow.Flags.add f 100 1;
+  Lp_trace.Grow.Flags.add f 100 4;
+  Alcotest.(check int) "bits accumulate" 5 (Lp_trace.Grow.Flags.get f 100);
+  Alcotest.(check bool) "mem" true (Lp_trace.Grow.Flags.mem f 100 4);
+  Alcotest.(check bool) "not mem" false (Lp_trace.Grow.Flags.mem f 100 2);
+  Alcotest.(check int) "neighbours untouched" 0 (Lp_trace.Grow.Flags.get f 99);
+  (* an exactly full table hands over its storage; any other copies *)
+  let g = Lp_trace.Grow.create 16 in
+  for i = 0 to 15 do Lp_trace.Grow.push g i done;
+  let a = Lp_trace.Grow.freeze g in
+  Alcotest.(check (array int)) "full" (Array.init 16 Fun.id) a;
+  let g = Lp_trace.Grow.create 16 in
+  Lp_trace.Grow.push g 7;
+  Alcotest.(check (array int)) "partial" [| 7 |] (Lp_trace.Grow.freeze g)
+
+(* -- satellite: the decoder allocates only the events it yields ------------------- *)
+
+(* each decoded event costs its own block plus the [Some] around it
+   (at most 7 + 2 words); the per-event closures the decoder once built
+   cost about 22 words an event, so a bound of 12 catches their return *)
+let decode_minor_words () =
+  let trace = Lp_workloads.Registry.trace ~program:"perl" ~input:"tiny" () in
+  let buf = B.big_of_string (B.to_string trace) in
+  let d = B.decoder ~name:"perl-tiny.lpt" buf in
+  let n = ref 0 in
+  let w0 = Gc.minor_words () in
+  let rec go () =
+    match B.decode_next d with
+    | Some _ ->
+        incr n;
+        go ()
+    | None -> ()
+  in
+  go ();
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int !n in
+  Alcotest.(check int) "every event decoded"
+    (Array.length trace.Lp_trace.Trace.events) !n;
+  if per_event > 12. then
+    Alcotest.failf "decoding allocates %.1f minor words per event (bound 12)"
+      per_event
+
 (* -- satellite: no stop-the-world full major per job in parallel fan-out ------------ *)
 
 let map_sources_gc_behavior () =
@@ -593,6 +639,10 @@ let suites =
         Alcotest.test_case "wire codec rejections" `Quick wire_rejections;
         Alcotest.test_case "Grow.ensure clamps at max_array_length" `Quick
           grow_capacity_overflow;
+        Alcotest.test_case "Grow.Flags bits and Grow.freeze" `Quick
+          grow_flags_and_freeze;
+        Alcotest.test_case "decoder minor words per event" `Quick
+          decode_minor_words;
         Alcotest.test_case "map_sources full-major policy" `Quick
           map_sources_gc_behavior;
       ] );

@@ -98,6 +98,20 @@ let domains_arg =
 let set_domains domains =
   match domains with Some n -> Lifetime.Parallel.set_domains n | None -> ()
 
+(* Run a fold over the trace file: materialized (the default; [read]
+   decodes it), streamed from the file ([--stream]), or range-parallel
+   over its chunk index ([--sharded]).  All three run the same pass, so
+   their results are byte-identical. *)
+let run_pass ?(read = read_trace) ~stream ~sharded path pass =
+  if sharded then Lifetime.Shard.run pass (load_sharded path)
+  else
+    Lp_trace.Pass.run pass
+      (if stream then Lp_trace.Source.of_file path
+       else Lp_trace.Source.of_trace (read path))
+
+(* a pass's result alongside the whole trace's source, for its tables *)
+let with_source pass = Lp_trace.Pass.map (fun src r -> (src, r)) pass
+
 (* -- list ---------------------------------------------------------------------- *)
 
 let list_cmd =
@@ -172,11 +186,7 @@ let stats_cmd =
     with_timings timings (fun () ->
         set_domains domains;
         let s =
-          if sharded then Lifetime.Shard.stats (load_sharded path)
-          else if stream then
-            io_guard (fun () ->
-                Lp_trace.Stats.compute_source (Lp_trace.Source.of_file path))
-          else Lp_trace.Stats.compute (read_trace path)
+          io_guard (fun () -> run_pass ~stream ~sharded path Lp_trace.Stats.pass)
         in
         if json then
           Printf.printf
@@ -198,30 +208,9 @@ let lifetimes_cmd =
   let run path threshold stream sharded domains timings =
     with_timings timings @@ fun () ->
     set_domains domains;
-    let hist, short, total =
-      if sharded then
-        let s = Lifetime.Shard.lifetimes ~threshold (load_sharded path) in
-        (s.Lp_trace.Lifetimes.hist, s.short_bytes, s.total_alloc_bytes)
-      else if stream then
-        let s =
-          io_guard (fun () ->
-              Lp_trace.Lifetimes.summary_source ~threshold
-                (Lp_trace.Source.of_file path))
-        in
-        (s.hist, s.short_bytes, s.total_alloc_bytes)
-      else begin
-        let trace = read_trace path in
-        let lifetimes = Lp_trace.Lifetimes.compute trace in
-        let hist = Lp_quantile.Histogram.create () in
-        let short = ref 0 and total = ref 0 in
-        Lp_trace.Trace.iter_allocs trace (fun ~obj ~size ~chain:_ ~key:_ ~tag:_ ->
-            Lp_quantile.Histogram.observe_weighted hist ~weight:size
-              (float_of_int lifetimes.lifetime.(obj));
-            total := !total + size;
-            if Lp_trace.Lifetimes.is_short_lived lifetimes ~threshold obj then
-              short := !short + size);
-        (hist, !short, !total)
-      end
+    let { Lp_trace.Lifetimes.hist; short_bytes = short; total_alloc_bytes = total } =
+      io_guard (fun () ->
+          run_pass ~stream ~sharded path (Lp_trace.Lifetimes.summary ~threshold))
     in
     let q = Lp_quantile.Histogram.quartiles hist in
     Format.printf "byte-weighted lifetime quartiles: %a@."
@@ -255,30 +244,12 @@ let train_cmd =
     with_timings timings @@ fun () ->
     set_domains domains;
     let config = { Lifetime.Config.default with short_lived_threshold = threshold } in
-    let program, funcs, clock, table =
-      if sharded then begin
-        let sh = load_sharded path in
-        let st = Lifetime.Shard.train ~config sh in
-        ( (Lp_trace.Sharded.header sh).Lp_trace.Binio.program,
-          Lp_trace.Binio.indexed_funcs (Lp_trace.Sharded.index sh),
-          st.Lifetime.Train.end_clock,
-          st.Lifetime.Train.table )
-      end
-      else if stream then begin
-        let src = io_guard (fun () -> Lp_trace.Source.of_file path) in
-        let st = io_guard (fun () -> Lifetime.Train.collect_source ~config src) in
-        ( src.Lp_trace.Source.program,
-          src.Lp_trace.Source.funcs (),
-          st.Lifetime.Train.end_clock,
-          st.Lifetime.Train.table )
-      end
-      else
-        let trace = read_trace path in
-        ( trace.program,
-          trace.funcs,
-          Lp_trace.Trace.total_bytes trace,
-          Lifetime.Train.collect ~config trace )
+    let src, { Lifetime.Train.table; end_clock = clock; _ } =
+      io_guard (fun () ->
+          run_pass ~stream ~sharded path
+            (with_source (Lifetime.Train.pass ~config ())))
     in
+    let program = src.Lp_trace.Source.program and funcs = src.funcs () in
     let predictor = Lifetime.Predictor.build ~config ~funcs table in
     Printf.printf "%d allocation sites, %d predictor (all-short) sites\n"
       (Lifetime.Train.total_sites table)
@@ -443,6 +414,9 @@ let simulate_cmd =
                 exit 2)
           names);
     let config = { Lifetime.Config.default with short_lived_threshold = threshold } in
+    (* decoded at most once, also when it is the training trace *)
+    let test = lazy (read_trace test_path) in
+    let read path = if path = test_path then Lazy.force test else read_trace path in
     let predictor =
       (* the static oracle is the trained database; online trains itself
          mid-replay and needs no profile run *)
@@ -456,23 +430,15 @@ let simulate_cmd =
                  (--train FILE)\n";
               exit 2
           | Some train_path ->
+              let src, st =
+                io_guard (fun () ->
+                    run_pass ~read ~stream ~sharded:false train_path
+                      (with_source (Lifetime.Train.pass ~config ())))
+              in
               Some
-                (if stream then begin
-                   let src =
-                     io_guard (fun () -> Lp_trace.Source.of_file train_path)
-                   in
-                   let st =
-                     io_guard (fun () ->
-                         Lifetime.Train.collect_source ~config src)
-                   in
-                   Lifetime.Predictor.build ~config
-                     ~funcs:(src.Lp_trace.Source.funcs ())
-                     st.Lifetime.Train.table
-                 end
-                 else
-                   let train = read_trace train_path in
-                   let table = Lifetime.Train.collect ~config train in
-                   Lifetime.Predictor.build ~config ~funcs:train.funcs table))
+                (Lifetime.Predictor.build ~config
+                   ~funcs:(src.Lp_trace.Source.funcs ())
+                   st.Lifetime.Train.table))
     in
     let oracle =
       match Lifetime.Oracle.of_spec ~config ?predictor spec with
@@ -496,8 +462,8 @@ let simulate_cmd =
             ~source:(fun () -> Lp_trace.Source.of_file test_path)
             ()
         else
-          let test = read_trace test_path in
-          Lifetime.Simulate.run ?allocators ?wrap ~config ~oracle ~test ()
+          Lifetime.Simulate.run ?allocators ?wrap ~config ~oracle
+            ~test:(Lazy.force test) ()
       with Lp_analysis.Sanitize.Violation d ->
         Format.eprintf "%a@." (Lp_analysis.Diagnostic.pp ~source:test_path) d;
         exit 1
@@ -912,24 +878,15 @@ let lint_cmd =
       only disable;
     let diags, rules =
       try
-        if sharded && not model_file then
-          ( Lp_analysis.Lint.run_sharded ?only ?disable ~max_chain_depth
-              (Lp_trace.Sharded.load path),
-            Lp_analysis.Lint.rules )
-        else if stream && not model_file then
-          ( Lp_analysis.Lint.run_source ?only ?disable ~max_chain_depth
-              (Lp_trace.Source.of_file path),
-            Lp_analysis.Lint.rules )
-        else
+        if model_file then
           let contents = In_channel.with_open_bin path In_channel.input_all in
-          if Lifetime.Model.looks_like_model contents then
-            ( Lp_analysis.Validate.run ?only ?disable
-                (Lifetime.Model.of_string ~name:path contents),
-              Lp_analysis.Validate.rules )
-          else
-            ( Lp_analysis.Lint.run ?only ?disable ~max_chain_depth
-                (read_trace path),
-              Lp_analysis.Lint.rules )
+          ( Lp_analysis.Validate.run ?only ?disable
+              (Lifetime.Model.of_string ~name:path contents),
+            Lp_analysis.Validate.rules )
+        else
+          ( run_pass ~stream ~sharded path
+              (Lp_analysis.Lint.pass ?only ?disable ~max_chain_depth ()),
+            Lp_analysis.Lint.rules )
       with Invalid_argument msg | Failure msg ->
         Printf.eprintf "lpalloc lint: %s\n" msg;
         exit 2
@@ -1102,11 +1059,8 @@ let audit_cmd =
     in
     let diags =
       try
-        if sharded then Lp_analysis.Audit.run_sharded opts (load_sharded path)
-        else if stream then
-          io_guard (fun () ->
-              Lp_analysis.Audit.run_source opts (Lp_trace.Source.of_file path))
-        else Lp_analysis.Audit.run opts (read_trace path)
+        io_guard (fun () ->
+            run_pass ~stream ~sharded path (Lp_analysis.Audit.pass opts))
       with Invalid_argument msg | Failure msg ->
         Printf.eprintf "lpalloc audit: %s\n" msg;
         exit 2

@@ -9,53 +9,23 @@
    summaries of a covering partition, walked in range order, into the
    whole-trace summary.
 
-   The sequential paths are the one-range special case: [run_source]
-   replays the whole stream as a single range and merges the singleton,
-   so materialized, --stream and --sharded output is byte-identical by
+   The engine is one [Pass.t]: its part is the domains' token list, so
+   materialized, --stream and --sharded output is byte-identical by
    construction — the same code runs in all three, only the partition
    differs — provided each domain's [merge] reproduces sequential
    accumulation (interning in range order = global first-appearance
-   order, deferred observations replayed in global allocation order;
-   the same discipline as the stats/lifetimes/train/lint folds). *)
+   order, deferred observations replayed in global allocation order). *)
 
 module Source = Lp_trace.Source
-module Sharded = Lp_trace.Sharded
+module Pass = Lp_trace.Pass
 module Binio = Lp_trace.Binio
 module Event = Lp_trace.Event
 module Grow = Lp_trace.Grow
+module Pair_table = Lp_trace.Pair_table
 module Site = Lp_callchain.Site
 module Chain = Lp_callchain.Chain
 
 type token = ..
-
-type entry = {
-  en_first_event : int;
-  en_start_clock : int;
-  en_live_bytes : int;
-  en_live_objs : int;
-  en_next_obj : int;
-  en_carry : Binio.carry array;
-}
-
-let whole =
-  {
-    en_first_event = 0;
-    en_start_clock = 0;
-    en_live_bytes = 0;
-    en_live_objs = 0;
-    en_next_obj = 0;
-    en_carry = [||];
-  }
-
-let entry_of_range (rg : Sharded.range) =
-  {
-    en_first_event = rg.Sharded.rg_first_event;
-    en_start_clock = rg.Sharded.rg_start_clock;
-    en_live_bytes = rg.Sharded.rg_live_bytes;
-    en_live_objs = rg.Sharded.rg_live_objs;
-    en_next_obj = rg.Sharded.rg_next_obj;
-    en_carry = rg.Sharded.rg_carry;
-  }
 
 type ctx = {
   mutable cx_event : int;
@@ -70,22 +40,16 @@ type ctx = {
 
 module type DOMAIN = sig
   val name : string
-  val enter : Source.t -> entry -> (ctx -> Event.t -> unit) * (unit -> token)
+  val enter : Source.t -> Pass.entry -> (ctx -> Event.t -> unit) * (unit -> token)
   val merge : token list -> token
 end
 
 (* -- the concrete interpreter ----------------------------------------------------- *)
 
-(* Per-object tables are indexed by object id, so every table the pass
-   keeps is sized once from the source's object-id bound — a file's
-   object count, or a sharded range's exit bound — and the allocation
-   records from the objects the range is expected to bear.  A source
-   with no bound (a text stream) starts small and grows. *)
-let obj_bound (src : Source.t) =
-  Option.value src.Source.n_objects_hint ~default:0
-
-let run_over analyses (src : Source.t) (en : entry) =
-  let objects = obj_bound src in
+(* The engine's per-object tables (current size, birth chain) are sized
+   from the range's object-id bound, like every pass's. *)
+let enter analyses (src : Source.t) (en : Pass.entry) =
+  let objects = Pass.objects src in
   let cur_size = Grow.create objects in
   let birth_chain = Grow.create ~default:(-1) objects in
   Array.iter
@@ -111,90 +75,55 @@ let run_over analyses (src : Source.t) (en : entry) =
   in
   let steps = Array.of_list (List.map fst entered) in
   let n_steps = Array.length steps in
-  let rec loop () =
-    match Source.next src with
-    | None -> ()
-    | Some ev ->
-        ctx.cx_event <- ctx.cx_event + 1;
-        (* domains observe the pre-event context *)
-        for i = 0 to n_steps - 1 do
-          steps.(i) ctx ev
-        done;
-        (match ev with
-        | Event.Alloc { obj; size; chain; _ } ->
-            if obj >= 0 then begin
-              Grow.set cur_size obj size;
-              Grow.set birth_chain obj chain
-            end;
-            ctx.cx_clock <- ctx.cx_clock + size;
-            ctx.cx_live_bytes <- ctx.cx_live_bytes + size;
-            ctx.cx_live_objs <- ctx.cx_live_objs + 1
-        | Event.Free { obj; _ } ->
-            if obj >= 0 then
-              ctx.cx_live_bytes <- ctx.cx_live_bytes - Grow.get cur_size obj;
-            ctx.cx_live_objs <- ctx.cx_live_objs - 1
-        | Event.Realloc { obj; old_size; new_size; _ } ->
-            if obj >= 0 then begin
-              ctx.cx_live_bytes <-
-                ctx.cx_live_bytes - Grow.get cur_size obj + new_size;
-              Grow.set cur_size obj new_size
-            end;
-            ctx.cx_clock <- ctx.cx_clock + max 0 (new_size - old_size)
-        | Event.Touch _ -> ());
-        loop ()
+  let step ev =
+    ctx.cx_event <- ctx.cx_event + 1;
+    (* domains observe the pre-event context *)
+    for i = 0 to n_steps - 1 do
+      steps.(i) ctx ev
+    done;
+    match ev with
+    | Event.Alloc { obj; size; chain; _ } ->
+        if obj >= 0 then begin
+          Grow.set cur_size obj size;
+          Grow.set birth_chain obj chain
+        end;
+        ctx.cx_clock <- ctx.cx_clock + size;
+        ctx.cx_live_bytes <- ctx.cx_live_bytes + size;
+        ctx.cx_live_objs <- ctx.cx_live_objs + 1
+    | Event.Free { obj; _ } ->
+        if obj >= 0 then
+          ctx.cx_live_bytes <- ctx.cx_live_bytes - Grow.get cur_size obj;
+        ctx.cx_live_objs <- ctx.cx_live_objs - 1
+    | Event.Realloc { obj; old_size; new_size; _ } ->
+        if obj >= 0 then begin
+          ctx.cx_live_bytes <-
+            ctx.cx_live_bytes - Grow.get cur_size obj + new_size;
+          Grow.set cur_size obj new_size
+        end;
+        ctx.cx_clock <- ctx.cx_clock + max 0 (new_size - old_size)
+    | Event.Touch _ -> ()
   in
-  loop ();
-  List.map (fun (_, finish) -> finish ()) entered
+  (step, fun () -> List.map (fun (_, finish) -> finish ()) entered)
 
-let run_range ~analyses (rg : Sharded.range) =
-  run_over analyses (Sharded.range_source rg) (entry_of_range rg)
-
-let merge_ranges ~analyses per_range =
+let merge analyses _src per_range =
   List.mapi
     (fun i (module D : DOMAIN) ->
       D.merge (List.map (fun tokens -> List.nth tokens i) per_range))
     analyses
 
-let run_source ~analyses src =
-  merge_ranges ~analyses [ run_over analyses src whole ]
+let pass ~analyses = { Pass.enter = enter analyses; merge = merge analyses }
 
-let run_sharded ?domains ~analyses (sh : Sharded.t) =
-  merge_ranges ~analyses
-    (Lifetime.Parallel.map_chunks ?domains ~n_chunks:(Sharded.n_chunks sh)
-       (fun ~first ~count -> run_range ~analyses (Sharded.range sh ~first ~count)))
+(* -- chain rendering for reports -------------------------------------------------- *)
 
-(* -- rendering context for reports ------------------------------------------------ *)
+let chain_depth (src : Source.t) chain_id =
+  if chain_id < 0 || chain_id >= src.n_chains () then 0
+  else Array.length (src.chain chain_id)
 
-type report_ctx = {
-  rp_funcs : Lp_callchain.Func.table;
-  rp_chain : int -> Chain.t;
-  rp_n_chains : int;
-}
-
-let report_ctx_of_source (src : Source.t) =
-  {
-    rp_funcs = src.Source.funcs ();
-    rp_chain = src.Source.chain;
-    rp_n_chains = src.Source.n_chains ();
-  }
-
-let report_ctx_of_sharded (sh : Sharded.t) =
-  let ix = Sharded.index sh in
-  {
-    rp_funcs = Binio.indexed_funcs ix;
-    rp_chain = Binio.indexed_chain ix;
-    rp_n_chains = Binio.indexed_n_chains ix;
-  }
-
-let chain_depth rctx chain_id =
-  if chain_id < 0 || chain_id >= rctx.rp_n_chains then 0
-  else Array.length (rctx.rp_chain chain_id)
-
-let render_chain rctx chain_id =
-  if chain_id < 0 || chain_id >= rctx.rp_n_chains then
+let render_chain (src : Source.t) chain_id =
+  if chain_id < 0 || chain_id >= src.n_chains () then
     Printf.sprintf "chain %d" chain_id
   else
-    let names = Chain.names rctx.rp_funcs (rctx.rp_chain chain_id) in
+    let names = Chain.names (src.funcs ()) (src.chain chain_id) in
     match names with
     | [] -> "<empty chain>"
     | _ ->
@@ -262,13 +191,9 @@ module Site_profile = struct
         Lifetime.Portable.of_key_site site ~rounding:cfg.pc_rounding
     | _ -> Lifetime.Portable.of_site funcs ~rounding:cfg.pc_rounding site
 
-  let enter cfg (src : Source.t) (en : entry) =
-    let objects = obj_bound src in
-    let allocs = objects - en.en_next_obj in
-    let fold =
-      Lp_trace.Lifetimes.Fold.create ~objects ~allocs
-        ~start_clock:en.en_start_clock ~carry:en.en_carry
-    in
+  let enter cfg (src : Source.t) (en : Pass.entry) =
+    let allocs = Pass.objects src - en.en_next_obj in
+    let fold = Lp_trace.Lifetimes.Fold.enter src en in
     let sites = Pair_table.create 256 in
     let keys = ref [] and firsts = ref [] in
     let alloc_site = Grow.create allocs in
@@ -382,21 +307,18 @@ module Site_profile = struct
     (* deferred per-allocation observation, in global allocation order *)
     List.iter2
       (fun s map ->
-        Array.iteri
-          (fun i sid ->
-            let st = sites.(map.(sid)) in
-            let obj = s.sm_fold.Lp_trace.Lifetimes.rf_a_obj.(i) in
-            let size = s.sm_fold.Lp_trace.Lifetimes.rf_a_size.(i) in
-            let surv = Lp_trace.Lifetimes.resolved_survived resolved obj in
-            let lt = Lp_trace.Lifetimes.resolved_lifetime resolved obj in
+        let i = ref 0 in
+        Lp_trace.Lifetimes.iter_allocs resolved s.sm_fold
+          (fun ~obj:_ ~size ~lifetime:lt ~survived:surv ->
+            let st = sites.(map.(s.sm_alloc_site.(!i))) in
+            incr i;
             st.st_count <- st.st_count + 1;
             st.st_bytes <- st.st_bytes + size;
             if (not surv) && lt < cfg.pc_threshold then
               st.st_short <- st.st_short + 1;
             if surv then st.st_survivors <- st.st_survivors + 1;
             if lt > st.st_max_lifetime then st.st_max_lifetime <- lt;
-            Lp_quantile.Histogram.observe st.st_hist (float_of_int lt))
-          s.sm_alloc_site)
+            Lp_quantile.Histogram.observe st.st_hist (float_of_int lt)))
       sums maps;
     (* roll member sites up into their keys, in site order *)
     Array.iteri

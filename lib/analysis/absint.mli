@@ -8,17 +8,15 @@
     into a {!token} summary and merges a covering partition's summaries,
     walked in range order, into the whole-trace result.
 
-    The [run_range]/[merge_ranges] split follows the
-    stats/lifetimes/train/lint folds: every range is seeded from the
-    sharded footer's entry counters and carry-in set
-    ({!Lp_trace.Sharded.range}), and the sequential paths are the
-    one-range special case ({!run_source} replays the whole stream as a
-    single range and merges the singleton).  Materialized, [--stream]
-    and [--sharded] runs of a well-formed trace therefore produce
-    byte-identical results at any domain count, provided the domain's
-    [merge] reproduces sequential accumulation order — interning in
-    range order is global first-appearance order, and deferred
-    per-allocation observations replay in global allocation order.
+    The engine is one {!Lp_trace.Pass} ({!pass}), like the stats,
+    lifetimes, training and lint folds: every range is seeded from a
+    {!Lp_trace.Pass.entry}, and the sequential run is the one-range
+    case.  Materialized, [--stream] and [--sharded] runs of a
+    well-formed trace therefore produce byte-identical results at any
+    domain count, provided the domain's [merge] reproduces sequential
+    accumulation order — interning in range order is global
+    first-appearance order, and deferred per-allocation observations
+    replay in global allocation order.
 
     Domains publish their summaries through the extensible {!token}
     type (each adds a private constructor), which keeps the engine
@@ -28,23 +26,6 @@
 type token = ..
 (** A domain's range or merged summary.  Each domain extends this with
     its own constructor and exposes a [project] to unpack the merge. *)
-
-type entry = {
-  en_first_event : int;  (** global index of the range's first event *)
-  en_start_clock : int;  (** bytes allocated before the range *)
-  en_live_bytes : int;  (** live bytes at range entry *)
-  en_live_objs : int;
-  en_next_obj : int;  (** next dense-birth object id at range entry *)
-  en_carry : Lp_trace.Binio.carry array;
-}
-(** Where in the trace a range starts: {!Lp_trace.Sharded.range} minus
-    the cursor. *)
-
-val whole : entry
-(** The trace-initial entry (event 0, zero clocks, empty carry) — what
-    sequential runs seed with. *)
-
-val entry_of_range : Lp_trace.Sharded.range -> entry
 
 type ctx = {
   mutable cx_event : int;  (** index of the current event (absolute) *)
@@ -67,7 +48,9 @@ module type DOMAIN = sig
   val name : string
 
   val enter :
-    Lp_trace.Source.t -> entry -> (ctx -> Lp_trace.Event.t -> unit) * (unit -> token)
+    Lp_trace.Source.t ->
+    Lp_trace.Pass.entry ->
+    (ctx -> Lp_trace.Event.t -> unit) * (unit -> token)
   (** Start a range: return the per-event step and the finisher that
       packs the range summary. *)
 
@@ -76,50 +59,22 @@ module type DOMAIN = sig
       Sequential runs call this on a singleton. *)
 end
 
-val run_range : analyses:(module DOMAIN) list -> Lp_trace.Sharded.range -> token list
-(** Replay one range under every domain in a single pass; one (unmerged)
-    summary token per domain, in domain order. *)
-
-val merge_ranges :
-  analyses:(module DOMAIN) list -> token list list -> token list
-(** Merge per-range token lists (outer list in range order) into one
-    merged token per domain. *)
-
-val run_source :
-  analyses:(module DOMAIN) list -> Lp_trace.Source.t -> token list
-(** The sequential path: the whole stream as a single range, merged.
-    The source is consumed. *)
-
-val run_sharded :
-  ?domains:int ->
-  analyses:(module DOMAIN) list ->
-  Lp_trace.Sharded.t ->
-  token list
-(** Fan the chunk index over the domain pool
-    ({!Lifetime.Parallel.map_chunks}) and merge in range order.  Output
-    is identical to {!run_source} over the same trace. *)
+val pass : analyses:(module DOMAIN) list -> (token list, token list) Lp_trace.Pass.t
+(** Every domain over one traversal.  A range's part is one token per
+    domain, in domain order; the merge is one merged token per domain.
+    Run it with {!Lp_trace.Pass.run} or [Lifetime.Shard.run]. *)
 
 (** {1 Report rendering}
 
-    Reports run after the pass, against the complete interned tables. *)
+    Reports run after the pass, against the whole trace's source, whose
+    tables are complete. *)
 
-type report_ctx = {
-  rp_funcs : Lp_callchain.Func.table;
-  rp_chain : int -> Lp_callchain.Chain.t;
-  rp_n_chains : int;
-}
-
-val report_ctx_of_source : Lp_trace.Source.t -> report_ctx
-(** From an exhausted source (tables complete). *)
-
-val report_ctx_of_sharded : Lp_trace.Sharded.t -> report_ctx
-
-val chain_depth : report_ctx -> int -> int
+val chain_depth : Lp_trace.Source.t -> int -> int
 (** Frame count of a chain; [0] when the id is unresolvable. *)
 
-val render_chain : report_ctx -> int -> string
-(** First three frames, innermost first, ["<-…"]-elided — the linter's
-    rendering. *)
+val render_chain : Lp_trace.Source.t -> int -> string
+(** First three frames, innermost first, ["<-…"]-elided; ["chain N"]
+    when the id is unresolvable. *)
 
 (** {1 The shared site domain}
 

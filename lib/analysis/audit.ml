@@ -55,30 +55,27 @@ let analyses opts =
     Liveint.domain;
   ]
 
-let report opts rctx = function
-  | [ prof_tok; live_tok ] ->
-      let enabled =
-        Diagnostic.select ~rules ?only:opts.au_only ?disable:opts.au_disable ()
-      in
-      let pf = Absint.Site_profile.project prof_tok in
-      let lm = Liveint.project live_tok in
-      let model_index = Option.map Lifetime.Model.index opts.au_model in
-      Collision.report ?model_index rctx pf
-      @ Coverage.report ?model:opts.au_model ?online:opts.au_online
-          ~margin:opts.au_margin pf
-      @ Liveint.report ~hotspot_share:opts.au_hotspot_share rctx lm
-      |> List.filter (fun d -> enabled d.Diagnostic.rule)
-  | _ -> invalid_arg "Audit.report: expected two domain tokens"
+let pass opts =
+  let enabled =
+    Diagnostic.select ~rules ?only:opts.au_only ?disable:opts.au_disable ()
+  in
+  let report src = function
+    | [ prof_tok; live_tok ] ->
+        let pf = Absint.Site_profile.project prof_tok in
+        let lm = Liveint.project live_tok in
+        let model_index = Option.map Lifetime.Model.index opts.au_model in
+        Collision.report ?model_index src pf
+        @ Coverage.report ?model:opts.au_model ?online:opts.au_online
+            ~margin:opts.au_margin pf
+        @ Liveint.report ~hotspot_share:opts.au_hotspot_share src lm
+        |> List.filter (fun d -> enabled d.Diagnostic.rule)
+    | _ -> invalid_arg "Audit.report: expected two domain tokens"
+  in
+  Lp_trace.Pass.map report (Absint.pass ~analyses:(analyses opts))
 
-let run_source opts src =
-  let tokens = Absint.run_source ~analyses:(analyses opts) src in
-  report opts (Absint.report_ctx_of_source src) tokens
-
+let run_source opts src = Lp_trace.Pass.run (pass opts) src
 let run opts trace = run_source opts (Lp_trace.Source.of_trace trace)
-
-let run_sharded ?domains opts sh =
-  let tokens = Absint.run_sharded ?domains ~analyses:(analyses opts) sh in
-  report opts (Absint.report_ctx_of_sharded sh) tokens
+let run_sharded ?domains opts sh = Lifetime.Shard.run ?domains (pass opts) sh
 
 let clean ds = not (Diagnostic.has_errors ds)
 

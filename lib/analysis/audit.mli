@@ -52,19 +52,23 @@ val rules : Diagnostic.rule list
     [--only]/[--disable], [--list-rules], the SARIF driver and the
     README table. *)
 
-val run : options -> Lp_trace.Trace.t -> Diagnostic.t list
-(** Audit a materialized trace.  Equivalent to {!run_source} over
-    {!Lp_trace.Source.of_trace}.
+val pass :
+  options -> (Absint.token list, Diagnostic.t list) Lp_trace.Pass.t
+(** The audit as one {!Lp_trace.Pass}: both domains over one traversal,
+    the three reports at the merge.
     @raise Invalid_argument on an unknown rule id in the options. *)
+
+val run : options -> Lp_trace.Trace.t -> Diagnostic.t list
+(** Audit a materialized trace: {!pass} over
+    {!Lp_trace.Source.of_trace}. *)
 
 val run_source : options -> Lp_trace.Source.t -> Diagnostic.t list
 (** Audit a streaming event source in one bounded-memory pass; the
     source is consumed. *)
 
 val run_sharded : ?domains:int -> options -> Lp_trace.Sharded.t -> Diagnostic.t list
-(** Range-parallel audit over the domain pool
-    ({!Lifetime.Parallel.map_chunks}); identical output to
-    {!run_source} on the whole trace. *)
+(** {!pass} range-parallel over the domain pool ([Lifetime.Shard.run]);
+    identical output to {!run_source} on the whole trace. *)
 
 val clean : Diagnostic.t list -> bool
 (** No error-severity diagnostics ([lpalloc audit]'s exit-0 predicate). *)

@@ -15,7 +15,7 @@ val rules : Diagnostic.rule list
 
 val report :
   ?model_index:Lifetime.Model.index ->
-  Absint.report_ctx ->
+  Lp_trace.Source.t ->
   Absint.Site_profile.merged ->
   Diagnostic.t list
 (** Diagnostics in key first-appearance order; deterministic across

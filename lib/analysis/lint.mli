@@ -1,6 +1,8 @@
-(** The trace linter: one streaming pass over a trace's event stream that
-    checks the integrity properties every downstream consumer (training,
-    evaluation, allocator replay) silently assumes.
+(** The trace linter: one fold-protocol pass ({!Lp_trace.Pass}) over a
+    trace's event stream that checks the integrity properties every
+    downstream consumer (training, evaluation, allocator replay)
+    silently assumes.  The same pass runs materialized, streamed and
+    range-parallel, with identical diagnostics.
 
     The paper's whole evaluation is trace-driven, so a single malformed
     event — a double free, a free of a never-born object, a zero-sized
@@ -35,65 +37,33 @@ val rules : Diagnostic.rule list
 val default_max_chain_depth : int
 (** 256 frames; the traced workloads stay far below this. *)
 
+type part
+(** One range's diagnostics and end-of-range per-object state. *)
+
+val pass :
+  ?only:string list ->
+  ?disable:string list ->
+  ?max_chain_depth:int ->
+  unit ->
+  (part, Diagnostic.t list) Lp_trace.Pass.t
+(** The linter as one {!Lp_trace.Pass}, diagnostics in event order.
+    Per-object replay state lives in tables sized from the source's
+    object-id bound, never the event count.  A range restarts the state
+    machine from its carry-in set, so every in-range diagnostic carries
+    the sequential pass's indices and messages; the two cross-range
+    rules stitch at the merge — [chain-anomaly] dedups to the globally
+    first use, [leaked-at-exit] fires from the overlaid end-of-trace
+    state.  [only]/[disable] select rules by id (see
+    {!Diagnostic.select}).
+    @raise Invalid_argument on an unknown rule id. *)
+
 val run :
   ?only:string list ->
   ?disable:string list ->
   ?max_chain_depth:int ->
   Lp_trace.Trace.t ->
   Diagnostic.t list
-(** Lint the trace, in event order.  [only]/[disable] select rules by id
-    (see {!Diagnostic.select}).  Equivalent to {!run_source} over
-    {!Lp_trace.Source.of_trace}.
-    @raise Invalid_argument on an unknown rule id. *)
-
-val run_source :
-  ?only:string list ->
-  ?disable:string list ->
-  ?max_chain_depth:int ->
-  Lp_trace.Source.t ->
-  Diagnostic.t list
-(** Lint a streaming event source in one bounded-memory pass — per-object
-    replay state lives in growable arrays sized by the allocation high
-    water mark, never the event count.  Diagnostics are identical to
-    {!run} on the materialized equivalent.  The source is consumed. *)
-
-(** {1 Sharded linting}
-
-    The linter's state machine restarts mid-trace from a sharded range's
-    carry-in set, so one trace lints range-parallel: every in-range
-    diagnostic is emitted with the exact absolute indices and messages
-    of the sequential pass, and the two cross-range rules stitch at the
-    merge — [chain-anomaly] dedups to the globally first use,
-    [leaked-at-exit] fires from the overlaid end-of-trace state. *)
-
-type range_report
-
-val run_range :
-  ?only:string list ->
-  ?disable:string list ->
-  ?max_chain_depth:int ->
-  Lp_trace.Sharded.range ->
-  range_report
-(** Lint one chunk range; safe to call on any domain. *)
-
-val merge_ranges :
-  ?only:string list ->
-  ?disable:string list ->
-  Lp_trace.Sharded.t ->
-  range_report list ->
-  Diagnostic.t list
-(** Merge a covering partition's reports (in range order).  Identical to
-    {!run_source} over the whole trace. *)
-
-val run_sharded :
-  ?domains:int ->
-  ?only:string list ->
-  ?disable:string list ->
-  ?max_chain_depth:int ->
-  Lp_trace.Sharded.t ->
-  Diagnostic.t list
-(** {!run_range} over the domain pool ({!Lifetime.Parallel.map_chunks})
-    plus {!merge_ranges}. *)
+(** {!pass} over {!Lp_trace.Source.of_trace}. *)
 
 val clean : Diagnostic.t list -> bool
 (** No error-severity diagnostics ([lpalloc lint]'s exit-0 predicate). *)

@@ -54,9 +54,10 @@ type merged = {
 type Absint.token += Summary of summary | Merged of merged
 
 module Grow = Lp_trace.Grow
+module Pair_table = Lp_trace.Pair_table
 module Event = Lp_trace.Event
 
-let enter (_src : Lp_trace.Source.t) (_en : Absint.entry) =
+let enter (_src : Lp_trace.Source.t) (_en : Lp_trace.Pass.entry) =
   let sites = Pair_table.create 256 in
   let net = Grow.create 256 in
   let relpeak = Grow.create ~default:min_int 256 in
@@ -225,7 +226,7 @@ let rules =
 
 let default_hotspot_share = 0.25
 
-let report ?(hotspot_share = default_hotspot_share) rctx (m : merged) =
+let report ?(hotspot_share = default_hotspot_share) src (m : merged) =
   let out = ref [] in
   if m.lm_gpeak > min_int && m.lm_gpeak > 0 then begin
     let gpeak = float_of_int m.lm_gpeak in
@@ -241,7 +242,7 @@ let report ?(hotspot_share = default_hotspot_share) rctx (m : merged) =
               ~event:st.li_peak_event
               ~site:
                 (Printf.sprintf "[%s; size=%d]"
-                   (Absint.render_chain rctx st.li_chain)
+                   (Absint.render_chain src st.li_chain)
                    st.li_size)
               (Printf.sprintf
                  "site peaks at %d live bytes (%.0f%% of the global peak %d) \

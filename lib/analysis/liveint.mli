@@ -51,5 +51,5 @@ val default_hotspot_share : float
     bytes each ≥ 25% of the global peak. *)
 
 val report :
-  ?hotspot_share:float -> Absint.report_ctx -> merged -> Diagnostic.t list
+  ?hotspot_share:float -> Lp_trace.Source.t -> merged -> Diagnostic.t list
 (** Hotspots in site first-appearance order, then the global peak. *)

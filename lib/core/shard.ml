@@ -1,26 +1,18 @@
-(** Data-parallel replay of one sharded ([.lpt] v3) trace.
+(** Data-parallel run of a pass over one sharded ([.lpt] v3) trace.
 
     [Parallel.map_chunks] fans the trace's chunk index over the domain
-    pool as balanced contiguous ranges; each worker replays its range
-    with the fold's range variant (seeded from the range's entry
-    counters and carry-in set) and the deterministic merges reproduce
-    the sequential streaming folds exactly — same values, same
-    histogram state, same table insertion order.  [LPALLOC_DOMAINS=1]
-    degrades to a sequential chunk walk with identical results, which is
-    how the CI gate checks byte-identical JSON at 1 and 4 domains. *)
+    pool as balanced contiguous ranges; each worker folds its range
+    (seeded from the range's entry counters and carry-in set) and the
+    pass's merge combines the parts in range order, against the whole
+    trace's source — the same code a sequential run executes on one
+    range, so the result is identical at any domain count.
+    [LPALLOC_DOMAINS=1] degrades to a sequential chunk walk, which is
+    how the CI gate checks byte-identical output at 1 and 4 domains. *)
 
-let map_ranges ?domains (sh : Lp_trace.Sharded.t) f =
-  Parallel.map_chunks ?domains ~n_chunks:(Lp_trace.Sharded.n_chunks sh)
-    (fun ~first ~count -> f (Lp_trace.Sharded.range sh ~first ~count))
+let run ?domains (p : _ Lp_trace.Pass.t) sh =
+  p.merge (Lp_trace.Sharded.source sh)
+    (Parallel.map_chunks ?domains ~n_chunks:(Lp_trace.Sharded.n_chunks sh)
+       (fun ~first ~count ->
+         Lp_trace.Pass.run_range p (Lp_trace.Sharded.range sh ~first ~count)))
 
-let stats ?domains sh =
-  Lp_trace.Stats.merge_ranges sh
-    (map_ranges ?domains sh Lp_trace.Stats.compute_range)
-
-let lifetimes ?domains ~threshold sh =
-  Lp_trace.Lifetimes.merge_summaries ~threshold
-    (map_ranges ?domains sh (fun rg -> Lp_trace.Lifetimes.fold_range rg))
-
-let train ?domains ?config sh =
-  Train.merge_ranges ?config sh
-    (map_ranges ?domains sh (fun rg -> Train.collect_range ?config rg))
+let train ?domains ?config sh = run ?domains (Train.pass ?config ()) sh

@@ -40,66 +40,19 @@ type summary = {
   total_alloc_bytes : int;
 }
 
-(* Streaming twin of [compute] + the byte-weighted fold the lifetimes CLI
-   does on top of it: one pass over the source keeping per-object birth
-   state and one (object, size) record per allocation, then a deferred
-   fold in allocation order into the P² quantile histogram — the same
-   observation sequence as the materialized path, so the histogram state
-   (and its quartiles) is identical.  Memory scales with the allocation
-   count, never the event count. *)
-let summary_source ~threshold (src : Source.t) =
-  let hint =
-    match src.Source.n_objects_hint with Some n -> max 1 n | None -> 1024
-  in
-  let a_obj = Grow.create 1024 in
-  let a_size = Grow.create 1024 in
-  let n_allocs = ref 0 in
-  let birth = Grow.create hint in
-  let lifetime = Grow.create hint in
-  let survived = Grow.create ~default:1 hint in
-  let clock = ref 0 in
-  Source.iter
-    (function
-      | Event.Alloc { obj; size; _ } ->
-          Grow.push a_obj obj;
-          Grow.push a_size size;
-          incr n_allocs;
-          Grow.set birth obj !clock;
-          clock := !clock + size
-      | Event.Free { obj; _ } ->
-          Grow.set lifetime obj (!clock - Grow.get birth obj);
-          Grow.set survived obj 0
-      | Event.Realloc { old_size; new_size; _ } ->
-          clock := !clock + max 0 (new_size - old_size)
-      | Event.Touch _ -> ())
-    src;
-  let end_clock = !clock in
-  let hist = Lp_quantile.Histogram.create () in
-  let short = ref 0 and total = ref 0 in
-  for i = 0 to !n_allocs - 1 do
-    let obj = Grow.get a_obj i in
-    let size = Grow.get a_size i in
-    let surv = Grow.get survived obj = 1 in
-    let lt =
-      if surv then end_clock - Grow.get birth obj else Grow.get lifetime obj
-    in
-    Lp_quantile.Histogram.observe_weighted hist ~weight:size (float_of_int lt);
-    total := !total + size;
-    if (not surv) && lt < threshold then short := !short + size
-  done;
-  { hist; short_bytes = !short; total_alloc_bytes = !total }
-
-(* The range quarter of [summary_source]: replay one sharded chunk range
-   seeded with its carry-in birth clocks and the absolute allocation
-   clock, recording the range's allocations (in order) and, per object
-   the range wrote, the range-final birth/lifetime/survival values.
-   Applying the folds of a covering partition in range order ([resolve])
-   reconstructs exactly the arrays the sequential pass ends with, because
-   each fold's end values equal the sequential machine's state at that
-   point of the stream: births are absolute clocks (seeded from
-   [rg_start_clock]), a free's lifetime subtracts either an in-range
-   birth or the carried pre-range birth clock, and later ranges overwrite
-   earlier ones just as later events overwrite earlier ones. *)
+(* The range fold: one range replayed with absolute clocks (seeded from
+   the entry's start clock and carry-in birth clocks), recording the
+   range's allocations (in order) and, per object the range wrote, the
+   range-final birth/lifetime/survival values.  Applying the folds of a
+   covering partition in range order ([resolve]) reconstructs exactly
+   the per-object state the sequential pass ends with, because each
+   fold's end values equal the sequential machine's state at that point
+   of the stream: births are absolute clocks, a free's lifetime
+   subtracts either an in-range birth or the carried pre-range birth
+   clock, and later ranges overwrite earlier ones just as later events
+   overwrite earlier ones.  The deferred per-allocation observations
+   then run in global allocation order, so a histogram fed from them
+   ends in the sequential state. *)
 type range_fold = {
   rf_a_obj : int array;
   rf_a_size : int array;
@@ -111,18 +64,16 @@ type range_fold = {
   rf_end_clock : int;
 }
 
-(* Incremental form of the range fold: the same state machine exposed one
-   event at a time, so passes that interleave their own per-event work
-   with lifetime accumulation (the audit engine's analyses) drive a
-   [Fold.t] from their own event loop instead of duplicating the clock
-   and birth/free bookkeeping.  [fold_range] below is the one-shot loop
-   over it.
+(* The range fold's state machine, one event at a time, so passes that
+   interleave their own per-event work with lifetime accumulation
+   (training, the audit's site profile) step a [Fold.t] from their own
+   step instead of duplicating the clock and birth/free bookkeeping.
 
    Per-object state is indexed by absolute object id: two word tables
    (birth clock, lifetime) and one flag byte holding the born, freed and
-   touched bits.  The caller sizes them from the range's object-id bound
-   ([objects]) and its allocation records from the expected allocation
-   count ([allocs]); both still grow if a source outruns them. *)
+   touched bits, sized from the range's object-id bound; the allocation
+   records are sized from the allocations that bound leaves the range.
+   Both still grow if a source outruns them. *)
 module Fold = struct
   let born = 1
   let freed = 2
@@ -135,11 +86,12 @@ module Fold = struct
     f_life : Grow.t;
     f_flags : Grow.Flags.t;
     f_touched : Grow.t;
-    mutable f_n_allocs : int;
     mutable f_clock : int;
   }
 
-  let create ~objects ~allocs ~start_clock ~carry =
+  let enter src (en : Pass.entry) =
+    let objects = Pass.objects src in
+    let allocs = objects - en.en_next_obj in
     let t =
       {
         f_a_obj = Grow.create allocs;
@@ -147,19 +99,15 @@ module Fold = struct
         f_birth = Grow.create objects;
         f_life = Grow.create objects;
         f_flags = Grow.Flags.create objects;
-        f_touched = Grow.create (max 256 (allocs + Array.length carry));
-        f_n_allocs = 0;
-        f_clock = start_clock;
+        f_touched = Grow.create (max 256 (allocs + Array.length en.en_carry));
+        f_clock = en.en_start_clock;
       }
     in
     Array.iter
       (fun (cr : Binio.carry) ->
         Grow.set t.f_birth cr.Binio.cr_obj cr.Binio.cr_birth_clock)
-      carry;
+      en.en_carry;
     t
-
-  let clock t = t.f_clock
-  let n_allocs t = t.f_n_allocs
 
   let touch t obj bit =
     if not (Grow.Flags.mem t.f_flags obj touched) then
@@ -170,7 +118,6 @@ module Fold = struct
     | Event.Alloc { obj; size; _ } ->
         Grow.push t.f_a_obj obj;
         Grow.push t.f_a_size size;
-        t.f_n_allocs <- t.f_n_allocs + 1;
         touch t obj born;
         Grow.set t.f_birth obj t.f_clock;
         t.f_clock <- t.f_clock + size
@@ -205,23 +152,6 @@ module Fold = struct
       rf_end_clock = t.f_clock;
     }
 end
-
-let fold_range ?on_alloc (rg : Sharded.range) =
-  let src = Sharded.range_source rg in
-  let objects = Option.value src.Source.n_objects_hint ~default:0 in
-  let fold =
-    Fold.create ~objects
-      ~allocs:(objects - rg.Sharded.rg_next_obj)
-      ~start_clock:rg.Sharded.rg_start_clock ~carry:rg.Sharded.rg_carry
-  in
-  Source.iter
-    (fun ev ->
-      (match (ev, on_alloc) with
-      | Event.Alloc { size; chain; key; _ }, Some f -> f src ~size ~chain ~key
-      | _ -> ());
-      Fold.step fold ev)
-    src;
-  Fold.finish fold
 
 (* final per-object state after applying a covering partition's folds in
    range order, in tables sized to the largest object id the folds
@@ -272,44 +202,31 @@ let resolved_lifetime r obj =
 
 let resolved_end_clock r = r.rv_end_clock
 
-let merge_summaries ~threshold folds =
-  let r = resolve folds in
-  let hist = Lp_quantile.Histogram.create () in
-  let short = ref 0 and total = ref 0 in
-  List.iter
-    (fun f ->
-      Array.iteri
-        (fun i obj ->
-          let size = f.rf_a_size.(i) in
-          let surv = resolved_survived r obj in
-          let lt = resolved_lifetime r obj in
-          Lp_quantile.Histogram.observe_weighted hist ~weight:size
-            (float_of_int lt);
-          total := !total + size;
-          if (not surv) && lt < threshold then short := !short + size)
-        f.rf_a_obj)
-    folds;
-  { hist; short_bytes = !short; total_alloc_bytes = !total }
+let iter_allocs r f each =
+  Array.iteri
+    (fun i obj ->
+      each ~obj ~size:f.rf_a_size.(i) ~lifetime:(resolved_lifetime r obj)
+        ~survived:(resolved_survived r obj))
+    f.rf_a_obj
 
-let max_live (trace : Trace.t) =
-  let sizes = Array.make trace.n_objects 0 in
-  let live_bytes = ref 0 and live_objs = ref 0 in
-  let max_bytes = ref 0 and max_objs = ref 0 in
-  Array.iter
-    (function
-      | Event.Alloc { obj; size; _ } ->
-          sizes.(obj) <- size;
-          live_bytes := !live_bytes + size;
-          incr live_objs;
-          if !live_bytes > !max_bytes then max_bytes := !live_bytes;
-          if !live_objs > !max_objs then max_objs := !live_objs
-      | Event.Free { obj; _ } ->
-          live_bytes := !live_bytes - sizes.(obj);
-          decr live_objs
-      | Event.Realloc { obj; new_size; _ } ->
-          live_bytes := !live_bytes - sizes.(obj) + new_size;
-          sizes.(obj) <- new_size;
-          if !live_bytes > !max_bytes then max_bytes := !live_bytes
-      | Event.Touch _ -> ())
-    trace.events;
-  (!max_bytes, !max_objs)
+let summary ~threshold =
+  let enter src en =
+    let fold = Fold.enter src en in
+    (Fold.step fold, fun () -> Fold.finish fold)
+  in
+  let merge _src folds =
+    let r = resolve folds in
+    let hist = Lp_quantile.Histogram.create () in
+    let short = ref 0 and total = ref 0 in
+    List.iter
+      (fun f ->
+        iter_allocs r f (fun ~obj:_ ~size ~lifetime ~survived ->
+            Lp_quantile.Histogram.observe_weighted hist ~weight:size
+              (float_of_int lifetime);
+            total := !total + size;
+            if (not survived) && lifetime < threshold then
+              short := !short + size))
+      folds;
+    { hist; short_bytes = !short; total_alloc_bytes = !total }
+  in
+  { Pass.enter; merge }

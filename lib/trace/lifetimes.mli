@@ -34,25 +34,16 @@ type summary = {
   total_alloc_bytes : int;  (** all bytes allocated *)
 }
 
-val summary_source : threshold:int -> Source.t -> summary
-(** Streaming twin of {!compute} plus the byte-weighted histogram fold
-    the [lpalloc lifetimes] command performs: one bounded-memory pass
-    (per-allocation records, never the event array), with the histogram
-    fed in allocation order so its quartiles are identical to the
-    materialized path's.  The source is consumed. *)
+(** {1 The range fold}
 
-(** {1 Sharded replay}
-
-    A {!range_fold} is the per-range quarter of {!summary_source}: one
-    range of a sharded trace replayed with absolute clocks (seeded from
-    the range's entry counters and carry-in birth clocks), keeping the
-    range's allocation records plus the range-final lifetime state of
-    every object the range wrote.  For a covering partition of the
-    trace, {!resolve} applies the folds in range order and ends with
-    exactly the sequential pass's final per-object state, so
-    {!merge_summaries} reproduces {!summary_source} — including the
-    histogram's internal state, because the deferred observations happen
-    in the same global allocation order. *)
+    One range replayed with absolute clocks (seeded from the entry's
+    start clock and carry-in birth clocks), keeping the range's
+    allocation records plus the range-final lifetime state of every
+    object the range wrote.  For a covering partition of the trace,
+    {!resolve} applies the folds in range order and ends with exactly
+    the sequential pass's final per-object state; the passes built on
+    it ({!summary}, training, the audit's site profile) then observe
+    every allocation in global allocation order. *)
 
 type range_fold = {
   rf_a_obj : int array;  (** objects of the range's allocs, event order *)
@@ -65,40 +56,16 @@ type range_fold = {
   rf_end_clock : int;  (** absolute clock after the range's last event *)
 }
 
-val fold_range :
-  ?on_alloc:(Source.t -> size:int -> chain:int -> key:int -> unit) ->
-  Sharded.range ->
-  range_fold
-(** Replay one range.  [on_alloc] is called at each allocation event
-    before state updates (the trainer derives sites there, keeping the
-    expensive work inside the parallel section). *)
-
-(** The incremental face of {!fold_range}: the same lifetime state
-    machine driven one event at a time, for passes that interleave their
-    own per-event accumulation with the lifetime fold (the audit
-    engine's site analyses).  [create ~start_clock ~carry] seeds the
-    carried birth clocks exactly as {!fold_range} does; {!Fold.step} on
-    every event of the range and then {!Fold.finish} yields the same
-    {!range_fold} the one-shot loop produces. *)
+(** The lifetime state machine driven one event at a time, for passes
+    that interleave their own per-event accumulation with it. *)
 module Fold : sig
   type t
 
-  val create :
-    objects:int ->
-    allocs:int ->
-    start_clock:int ->
-    carry:Binio.carry array ->
-    t
-  (** [objects] pre-sizes the per-object tables, which are indexed by
-      object id, so it should be the range's object-id bound; [allocs]
-      pre-sizes the allocation records.  Both are only sizes: ids or
-      allocations beyond them grow the tables. *)
-
-  val clock : t -> int
-  (** Absolute allocation clock {e before} the next event. *)
-
-  val n_allocs : t -> int
-  (** Allocation records pushed so far. *)
+  val enter : Source.t -> Pass.entry -> t
+  (** Seed the carried birth clocks and the start clock from the entry.
+      The per-object tables, indexed by object id, are sized from
+      {!Pass.objects}; the allocation records from the allocations that
+      bound leaves the range.  Both grow past those sizes. *)
 
   val step : t -> Event.t -> unit
 
@@ -114,15 +81,18 @@ val resolve : range_fold list -> resolved
 (** Apply folds in range order (the caller passes them in range order —
     {!Sharded.range} order, as a covering partition of the trace). *)
 
-val resolved_survived : resolved -> int -> bool
-val resolved_lifetime : resolved -> int -> int
 val resolved_end_clock : resolved -> int
 
-val merge_summaries : threshold:int -> range_fold list -> summary
-(** Identical to {!summary_source} over the whole trace when the folds
-    cover it in order. *)
+val iter_allocs :
+  resolved ->
+  range_fold ->
+  (obj:int -> size:int -> lifetime:int -> survived:bool -> unit) ->
+  unit
+(** The fold's allocations in event order, each with its object's final
+    lifetime (survivors: bytes allocated until the end of the trace). *)
 
-val max_live : Trace.t -> int * int
-(** [(max_bytes, max_objects)] — the largest numbers of bytes and of objects
-    simultaneously alive at any point (Table 2's "Maximum Bytes/Objects").
-    The two maxima may occur at different times. *)
+val summary : threshold:int -> (range_fold, summary) Pass.t
+(** The byte-weighted fold of [lpalloc lifetimes]: one bounded-memory
+    pass (per-allocation records, never the event array), with the
+    histogram fed in global allocation order at the merge, so its state
+    is the same for any partition of the trace. *)

@@ -12,170 +12,84 @@ type t = {
   mean_object_size : float;
 }
 
-let compute (trace : Trace.t) =
-  let total_bytes = Trace.total_bytes trace in
-  let total_objects = Trace.total_objects trace in
-  let max_bytes, max_objects = Lifetimes.max_live trace in
-  let heap_ref_pct =
-    if trace.total_refs = 0 then 0.
-    else 100. *. float_of_int trace.heap_refs /. float_of_int trace.total_refs
-  in
-  {
-    program = trace.program;
-    input = trace.input;
-    instructions = trace.instructions;
-    calls = trace.calls;
-    total_bytes;
-    total_objects;
-    max_bytes;
-    max_objects;
-    heap_ref_pct;
-    distinct_chains = Array.length trace.chains;
-    mean_object_size =
-      (if total_objects = 0 then 0. else float_of_int total_bytes /. float_of_int total_objects);
-  }
-
-(* The streaming twin of [compute]: one bounded-memory pass over a source
-   — per-object sizes in a growable array (for the live-bytes high water
-   mark), everything else a handful of scalars.  Identical fields to
-   [compute] on the materialized equivalent; the source is consumed. *)
-let compute_source (src : Source.t) =
-  let hint =
-    match src.Source.n_objects_hint with Some n -> max 1 n | None -> 1024
-  in
-  let sizes = Grow.create hint in
-  let total_bytes = ref 0 in
-  let live_bytes = ref 0 and live_objs = ref 0 in
-  let max_bytes = ref 0 and max_objs = ref 0 in
-  Source.iter
-    (function
-      | Event.Alloc { obj; size; _ } ->
-          Grow.set sizes obj size;
-          total_bytes := !total_bytes + size;
-          live_bytes := !live_bytes + size;
-          incr live_objs;
-          if !live_bytes > !max_bytes then max_bytes := !live_bytes;
-          if !live_objs > !max_objs then max_objs := !live_objs
-      | Event.Free { obj; _ } ->
-          live_bytes := !live_bytes - Grow.get sizes obj;
-          decr live_objs
-      | Event.Realloc { obj; old_size; new_size; _ } ->
-          (* the clock charges the declared grown delta (as
-             [Trace.total_bytes] does); live bytes swap the tracked
-             current size for the new one (as the free path subtracts) *)
-          total_bytes := !total_bytes + max 0 (new_size - old_size);
-          live_bytes := !live_bytes - Grow.get sizes obj + new_size;
-          Grow.set sizes obj new_size;
-          if !live_bytes > !max_bytes then max_bytes := !live_bytes
-      | Event.Touch _ -> ())
-    src;
-  let c = Source.counters src in
-  let total_objects = Source.n_objects src in
-  let heap_ref_pct =
-    if c.Source.total_refs = 0 then 0.
-    else
-      100. *. float_of_int c.Source.heap_refs /. float_of_int c.Source.total_refs
-  in
-  {
-    program = src.Source.program;
-    input = src.Source.input;
-    instructions = c.Source.instructions;
-    calls = c.Source.calls;
-    total_bytes = !total_bytes;
-    total_objects;
-    max_bytes = !max_bytes;
-    max_objects = !max_objs;
-    heap_ref_pct;
-    distinct_chains = src.Source.n_chains ();
-    mean_object_size =
-      (if total_objects = 0 then 0.
-       else float_of_int !total_bytes /. float_of_int total_objects);
-  }
-
-(* The range quarter of [compute_source].  Live counters are absolute
-   (seeded from the range's footer entry), the per-object size table is
-   preloaded from the carry-in set so a free of an earlier-born object
-   subtracts the same size the sequential pass would, and the maxima are
-   only candidates from this range's allocations — the sequential code
-   updates its maxima at allocations only, so the global maxima are the
-   max over the ranges' candidates (0, the sequential initial value, is
-   the identity for a range without allocations). *)
+(* A range replays with absolute live counters (seeded from its entry)
+   and a per-object size table preloaded from the carry-in set, so a
+   free of an earlier-born object subtracts the size the sequential pass
+   would.  The maxima only move at allocations and resizes, so the
+   global maxima are the max over the ranges' candidates (0, the
+   sequential initial value, is the identity for a range without
+   allocations); the merge is a sum and a max. *)
 type partial = {
   pt_total_bytes : int;
   pt_max_bytes : int;
   pt_max_objects : int;
 }
 
-let compute_range (rg : Sharded.range) =
-  let sizes = Grow.create (max 64 (Array.length rg.Sharded.rg_carry)) in
+let enter src (en : Pass.entry) =
+  let sizes = Grow.create (Pass.objects src) in
   Array.iter
     (fun (cr : Binio.carry) -> Grow.set sizes cr.Binio.cr_obj cr.Binio.cr_size)
-    rg.Sharded.rg_carry;
+    en.en_carry;
   let total_bytes = ref 0 in
-  let live_bytes = ref rg.Sharded.rg_live_bytes in
-  let live_objs = ref rg.Sharded.rg_live_objs in
+  let live_bytes = ref en.en_live_bytes in
+  let live_objs = ref en.en_live_objs in
   let max_bytes = ref 0 and max_objs = ref 0 in
-  Source.iter
-    (function
-      | Event.Alloc { obj; size; _ } ->
-          Grow.set sizes obj size;
-          total_bytes := !total_bytes + size;
-          live_bytes := !live_bytes + size;
-          incr live_objs;
-          if !live_bytes > !max_bytes then max_bytes := !live_bytes;
-          if !live_objs > !max_objs then max_objs := !live_objs
-      | Event.Free { obj; _ } ->
-          live_bytes := !live_bytes - Grow.get sizes obj;
-          decr live_objs
-      | Event.Realloc { obj; old_size; new_size; _ } ->
-          (* the clock charges the declared grown delta (as
-             [Trace.total_bytes] does); live bytes swap the tracked
-             current size for the new one (as the free path subtracts) *)
-          total_bytes := !total_bytes + max 0 (new_size - old_size);
-          live_bytes := !live_bytes - Grow.get sizes obj + new_size;
-          Grow.set sizes obj new_size;
-          if !live_bytes > !max_bytes then max_bytes := !live_bytes
-      | Event.Touch _ -> ())
-    (Sharded.range_source rg);
-  {
-    pt_total_bytes = !total_bytes;
-    pt_max_bytes = !max_bytes;
-    pt_max_objects = !max_objs;
-  }
+  let step = function
+    | Event.Alloc { obj; size; _ } ->
+        Grow.set sizes obj size;
+        total_bytes := !total_bytes + size;
+        live_bytes := !live_bytes + size;
+        incr live_objs;
+        if !live_bytes > !max_bytes then max_bytes := !live_bytes;
+        if !live_objs > !max_objs then max_objs := !live_objs
+    | Event.Free { obj; _ } ->
+        live_bytes := !live_bytes - Grow.get sizes obj;
+        decr live_objs
+    | Event.Realloc { obj; old_size; new_size; _ } ->
+        (* the clock charges the declared grown delta (as
+           [Trace.total_bytes] does); live bytes swap the tracked
+           current size for the new one (as the free path subtracts) *)
+        total_bytes := !total_bytes + max 0 (new_size - old_size);
+        live_bytes := !live_bytes - Grow.get sizes obj + new_size;
+        Grow.set sizes obj new_size;
+        if !live_bytes > !max_bytes then max_bytes := !live_bytes
+    | Event.Touch _ -> ()
+  in
+  let finish () =
+    {
+      pt_total_bytes = !total_bytes;
+      pt_max_bytes = !max_bytes;
+      pt_max_objects = !max_objs;
+    }
+  in
+  (step, finish)
 
-let merge_ranges (sh : Sharded.t) partials =
-  let hdr = Sharded.header sh in
-  let total_bytes =
-    List.fold_left (fun acc p -> acc + p.pt_total_bytes) 0 partials
-  in
-  let max_bytes =
-    List.fold_left (fun acc p -> max acc p.pt_max_bytes) 0 partials
-  in
-  let max_objects =
-    List.fold_left (fun acc p -> max acc p.pt_max_objects) 0 partials
-  in
-  let total_objects = hdr.Binio.n_objects in
-  let heap_ref_pct =
-    if hdr.Binio.total_refs = 0 then 0.
-    else
-      100. *. float_of_int hdr.Binio.heap_refs
-      /. float_of_int hdr.Binio.total_refs
-  in
+let merge (src : Source.t) parts =
+  let sum f = List.fold_left (fun acc p -> acc + f p) 0 parts in
+  let max_of f = List.fold_left (fun acc p -> max acc (f p)) 0 parts in
+  let total_bytes = sum (fun p -> p.pt_total_bytes) in
+  let total_objects = src.n_objects_now () in
+  let c = Source.counters src in
   {
-    program = hdr.Binio.program;
-    input = hdr.Binio.input;
-    instructions = hdr.Binio.instructions;
-    calls = hdr.Binio.calls;
+    program = src.program;
+    input = src.input;
+    instructions = c.instructions;
+    calls = c.calls;
     total_bytes;
     total_objects;
-    max_bytes;
-    max_objects;
-    heap_ref_pct;
-    distinct_chains = Binio.indexed_n_chains (Sharded.index sh);
+    max_bytes = max_of (fun p -> p.pt_max_bytes);
+    max_objects = max_of (fun p -> p.pt_max_objects);
+    heap_ref_pct =
+      (if c.total_refs = 0 then 0.
+       else 100. *. float_of_int c.heap_refs /. float_of_int c.total_refs);
+    distinct_chains = src.n_chains ();
     mean_object_size =
       (if total_objects = 0 then 0.
        else float_of_int total_bytes /. float_of_int total_objects);
   }
+
+let pass = { Pass.enter; merge }
+let compute trace = Pass.run pass (Source.of_trace trace)
 
 let pp ppf t =
   Format.fprintf ppf

@@ -14,27 +14,15 @@ type t = {
   mean_object_size : float;
 }
 
+type partial
+(** One range's bytes allocated and live-heap maxima. *)
+
+val pass : (partial, t) Pass.t
+(** One bounded-memory pass (per-object sizes only).  Live counters are
+    absolute, seeded from the range's entry; the two maxima may occur
+    at different times. *)
+
 val compute : Trace.t -> t
-
-val compute_source : Source.t -> t
-(** Streaming twin of {!compute}: one bounded-memory pass over the
-    source (per-object sizes only — memory scales with the object count,
-    not the event count).  Fields are identical to {!compute} on the
-    materialized equivalent.  The source is consumed. *)
-
-type partial = {
-  pt_total_bytes : int;
-  pt_max_bytes : int;  (** max live bytes seen at this range's allocs *)
-  pt_max_objects : int;
-}
-(** The range quarter of {!compute_source} over a sharded trace. *)
-
-val compute_range : Sharded.range -> partial
-(** Replay one chunk range with absolute live counters (seeded from the
-    range's entry counters and carried object sizes). *)
-
-val merge_ranges : Sharded.t -> partial list -> t
-(** Identical to {!compute_source} over the whole trace when the
-    partials cover it (any order — the merge is a sum and a max). *)
+(** {!pass} over {!Source.of_trace}. *)
 
 val pp : Format.formatter -> t -> unit

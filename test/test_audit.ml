@@ -198,7 +198,7 @@ let audit_text_stream_growth () =
 
 (* -- the (chain, size) pair table ------------------------------------------------ *)
 
-module Pair_table = Lp_analysis.Pair_table
+module Pair_table = Lp_trace.Pair_table
 
 (* interning against a polymorphic Hashtbl model: ids in first-appearance
    order and repeats resolving to the first id, over negative

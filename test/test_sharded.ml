@@ -1,7 +1,7 @@
 (* The sharded (.lpt v3) trace layout and its satellites: v2 -> v3 -> v2
-   byte-identity, seek/sub window determinism, random covering-partition
-   merges reproducing every sequential fold (stats, lifetimes, training,
-   lint), the Shard orchestrators across domain counts, the corrupt
+   byte-identity, seek/sub window determinism, every fold-protocol pass
+   (stats, lifetimes, training, lint, audit) agreeing over every source
+   kind, random covering partitions and domain counts, the corrupt
    corpus linted range-parallel, the decode-ahead pipeline, and the
    codec/capacity/GC regression tests for the bugs fixed alongside. *)
 
@@ -283,27 +283,80 @@ let seek_sub_determinism =
         ];
       true)
 
-(* -- v3: random covering partitions merge to every sequential fold ------------------ *)
+(* -- every pass over every source kind and partition ---------------------------------- *)
+
+module Pass = Lp_trace.Pass
 
 let summary_fingerprint (s : Lp_trace.Lifetimes.summary) =
   let count = Lp_quantile.Histogram.count s.Lp_trace.Lifetimes.hist in
   let quart =
-    if count = 0 then None
-    else Some (Lp_quantile.Histogram.quartiles s.Lp_trace.Lifetimes.hist)
+    if count = 0 then "-"
+    else
+      let q = Lp_quantile.Histogram.quartiles s.Lp_trace.Lifetimes.hist in
+      Printf.sprintf "%h %h %h %h %h" q.min q.q25 q.median q.q75 q.max
   in
-  ( count,
-    quart,
-    s.Lp_trace.Lifetimes.short_bytes,
-    s.Lp_trace.Lifetimes.total_alloc_bytes )
+  Printf.sprintf "%d %s %d %d" count quart s.Lp_trace.Lifetimes.short_bytes
+    s.Lp_trace.Lifetimes.total_alloc_bytes
 
-let model_string_of_streamed ~config ~program ~funcs
-    (st : Lifetime.Train.streamed) =
+let stats_fingerprint (s : Lp_trace.Stats.t) =
+  Printf.sprintf "%s %s %d %d %d %d %d %d %h %d %h" s.program s.input
+    s.instructions s.calls s.total_bytes s.total_objects s.max_bytes
+    s.max_objects s.heap_ref_pct s.distinct_chains s.mean_object_size
+
+let model_string ~config (src : Source.t) (st : Lifetime.Train.streamed) =
+  let funcs = src.funcs () in
   let predictor =
     Lifetime.Predictor.build ~config ~funcs st.Lifetime.Train.table
   in
   Lifetime.Model.to_string
-    (Lifetime.Model.of_training_parts ~config ~program ~funcs
+    (Lifetime.Model.of_training_parts ~config ~program:src.program ~funcs
        ~clock:st.Lifetime.Train.end_clock st.Lifetime.Train.table predictor)
+
+(* A row is one pass with its result rendered to a string, so every row
+   compares the same way, plus the materialized reference it must match
+   where one exists outside the pass. *)
+type row =
+  | Row :
+      string * ('p, string) Pass.t * (Lp_trace.Trace.t -> string) option
+      -> row
+
+let train_row policy =
+  let config = { Lifetime.Config.default with policy } in
+  Row
+    ( "train " ^ Lp_callchain.Site.policy_to_string policy,
+      Pass.map (model_string ~config) (Lifetime.Train.pass ~config ()),
+      Some
+        (fun t ->
+          let table = Fold_reference.collect ~config t in
+          let predictor =
+            Lifetime.Predictor.build ~config ~funcs:t.Lp_trace.Trace.funcs table
+          in
+          Lifetime.Model.to_string
+            (Lifetime.Model.of_training ~config ~trace:t table predictor)) )
+
+let rows =
+  let render f p = Pass.map (fun _ r -> f r) p in
+  [
+    Row
+      ( "stats",
+        render stats_fingerprint Lp_trace.Stats.pass,
+        Some (fun t -> stats_fingerprint (Fold_reference.stats t)) );
+    Row
+      ( "lifetimes",
+        render summary_fingerprint (Lp_trace.Lifetimes.summary ~threshold:32),
+        None );
+    (* several chains share a site under [last-2-callers]; the key
+       policy interns by key, not chain *)
+    train_row Lp_callchain.Site.Complete_chain;
+    train_row (Lp_callchain.Site.Last_callers 2);
+    train_row Lp_callchain.Site.Encrypted_key;
+    Row ("lint", render D.list_to_json (Lp_analysis.Lint.pass ()), None);
+    Row
+      ( "audit",
+        render D.list_to_json
+          (Lp_analysis.Audit.pass Lp_analysis.Audit.default_options),
+        None );
+  ]
 
 (* split [n_chunks] into a covering partition of contiguous ranges,
    consuming widths from [cuts] (1-4 chunks each, remainder in one tail
@@ -320,6 +373,41 @@ let partition_of sh cuts =
   in
   go 0 [] cuts
 
+(* Every pass must give one result over the in-memory trace, a text
+   stream (no object hint: every table grows from its fallback size), a
+   binary stream, the given covering partition of the v3 chunks, and
+   [Shard.run] at 1 to 4 domains — and that result must be the
+   materialized reference's where the row has one. *)
+let check_all_passes (trace, chunk_events, cuts) =
+  let text = Lp_trace.Textio.to_string trace in
+  let v3 = B.to_string_v3 ~chunk_events trace in
+  let sh = Sharded.of_string ~name:"rt.lpt" v3 in
+  let ranges = partition_of sh cuts in
+  List.iter
+    (fun (Row (name, p, reference)) ->
+      let expect = Pass.run p (Source.of_trace trace) in
+      (match reference with
+      | Some f when f trace <> expect ->
+          QCheck.Test.fail_reportf "%s: the pass differs from the reference" name
+      | _ -> ());
+      let check kind got =
+        if got <> expect then
+          QCheck.Test.fail_reportf "%s via %s:\n%s\nvs\n%s" name kind got expect
+      in
+      check "text" (Pass.run p (Source.of_string ~name:"rt.txt" text));
+      check "binary" (Pass.run p (Source.of_string ~name:"rt.lpt" v3));
+      check
+        (Printf.sprintf "%d ranges" (List.length ranges))
+        (p.merge (Sharded.source sh) (List.map (Pass.run_range p) ranges));
+      List.iter
+        (fun domains ->
+          check
+            (Printf.sprintf "Shard.run @%d domains" domains)
+            (Lifetime.Shard.run ~domains p sh))
+        [ 1; 2; 3; 4 ])
+    rows;
+  true
+
 let partition_gen =
   QCheck.Gen.(
     triple Test_stream.random_trace_gen (int_range 1 12)
@@ -330,83 +418,20 @@ let realloc_partition_gen =
     triple Test_stream.random_realloc_trace_gen (int_range 1 12)
       (list_size (int_range 0 8) (int_range 1 4)))
 
-let check_partition (trace, chunk_events, cuts) =
-      let config = Lifetime.Config.default in
-      let threshold = 32 in
-      let v3 = B.to_string_v3 ~chunk_events trace in
-      let sh = Sharded.of_string ~name:"rt.lpt" v3 in
-      let ranges = partition_of sh cuts in
-      (* stats *)
-      let st_expect = Lp_trace.Stats.compute_source (Source.of_trace trace) in
-      let st_got =
-        Lp_trace.Stats.merge_ranges sh
-          (List.map Lp_trace.Stats.compute_range ranges)
-      in
-      if st_got <> st_expect then
-        QCheck.Test.fail_reportf "stats differ over %d ranges"
-          (List.length ranges);
-      (* lifetimes *)
-      let lt_expect =
-        summary_fingerprint
-          (Lp_trace.Lifetimes.summary_source ~threshold
-             (Source.of_trace trace))
-      in
-      let lt_got =
-        summary_fingerprint
-          (Lp_trace.Lifetimes.merge_summaries ~threshold
-             (List.map (fun r -> Lp_trace.Lifetimes.fold_range r) ranges))
-      in
-      if lt_got <> lt_expect then
-        QCheck.Test.fail_reportf "lifetime summaries differ over %d ranges"
-          (List.length ranges);
-      (* training *)
-      let tr_expect =
-        let src = Source.of_trace trace in
-        let st = Lifetime.Train.collect_source ~config src in
-        model_string_of_streamed ~config ~program:src.Source.program
-          ~funcs:(src.Source.funcs ()) st
-      in
-      let tr_got =
-        let st =
-          Lifetime.Train.merge_ranges ~config sh
-            (List.map (fun r -> Lifetime.Train.collect_range ~config r) ranges)
-        in
-        model_string_of_streamed ~config
-          ~program:(Sharded.header sh).B.program
-          ~funcs:(B.indexed_funcs (Sharded.index sh))
-          st
-      in
-      if tr_got <> tr_expect then
-        QCheck.Test.fail_reportf "trained models differ over %d ranges"
-          (List.length ranges);
-      (* lint *)
-      let li_expect =
-        D.list_to_json (Lp_analysis.Lint.run_source (Source.of_trace trace))
-      in
-      let li_got =
-        D.list_to_json
-          (Lp_analysis.Lint.merge_ranges sh
-             (List.map (fun r -> Lp_analysis.Lint.run_range r) ranges))
-      in
-      if li_got <> li_expect then
-        QCheck.Test.fail_reportf "lint diagnostics differ over %d ranges"
-          (List.length ranges);
-      true
-
 let partition_fold_determinism =
   QCheck.Test.make ~count:25
     ~name:"random range partitions merge to the sequential folds"
     (QCheck.make partition_gen)
-    check_partition
+    check_all_passes
 
-(* the same merge machinery over realloc-bearing traces: chunk
-   boundaries can now fall between a resize and the object's free, so
-   the carry-in size snapshots must report the post-resize size *)
+(* the same passes over realloc-bearing traces: chunk boundaries can
+   fall between a resize and the object's free, so the carry-in size
+   snapshots must report the post-resize size *)
 let realloc_partition_fold_determinism =
   QCheck.Test.make ~count:25
     ~name:"realloc-bearing range partitions merge to the sequential folds"
     (QCheck.make realloc_partition_gen)
-    check_partition
+    check_all_passes
 
 (* deterministic boundary case: with 2-event chunks, object 0's growing
    resize, shrinking resize, and size-declaring free each land in a
@@ -443,72 +468,62 @@ let realloc_carry_across_chunk_boundary () =
   (* decode round-trip preserves the realloc payloads exactly *)
   let back = B.of_string ~name:"carry.lpt" v3 in
   Alcotest.(check bool) "events round-trip" true (back.events = trace.events);
-  (* per-chunk range folds, merged, equal the sequential results *)
-  let ranges = partition_of sh (List.init (Sharded.n_chunks sh) (fun _ -> 1)) in
-  let st_expect = Lp_trace.Stats.compute_source (Source.of_trace trace) in
-  let st_got =
-    Lp_trace.Stats.merge_ranges sh
-      (List.map Lp_trace.Stats.compute_range ranges)
-  in
-  if st_got <> st_expect then Alcotest.fail "stats differ across the boundary";
+  (* one range per chunk: every pass equals its sequential run *)
+  let per_chunk = List.init (Sharded.n_chunks sh) (fun _ -> 1) in
+  ignore (check_all_passes (trace, 2, per_chunk) : bool);
+  let lint = Lp_analysis.Lint.pass () in
   let diags =
-    Lp_analysis.Lint.merge_ranges sh
-      (List.map (fun r -> Lp_analysis.Lint.run_range r) ranges)
+    lint.merge (Sharded.source sh)
+      (List.map (Pass.run_range lint) (partition_of sh per_chunk))
   in
   Alcotest.(check bool) "range lint sees the declared sizes as correct" false
-    (Lp_analysis.Diagnostic.has_errors diags);
-  Alcotest.(check string) "range lint equals sequential lint"
-    (D.list_to_json (Lp_analysis.Lint.run_source (Source.of_trace trace)))
-    (D.list_to_json diags)
+    (Lp_analysis.Diagnostic.has_errors diags)
 
-(* -- the Shard orchestrators across domain counts ----------------------------------- *)
+(* an empty chain used in three chunks: every per-chunk range sees its
+   own first use, and the merge must keep only the global first *)
+let chain_anomaly_once_across_ranges () =
+  let text =
+    String.concat "\n"
+      [
+        "trace anomaly once";
+        "func 0 main";
+        "chain 0";
+        "chain 1 0";
+        "counters 0 0 0 0";
+        "a 0 16 0 0 -1 0";
+        "a 1 16 1 0 -1 0";
+        "a 2 16 0 0 -1 0";
+        "f 0";
+        "a 3 16 0 0 -1 0";
+        "f 1";
+        "f 2";
+        "f 3";
+        "end";
+        "";
+      ]
+  in
+  let trace = Lp_trace.Textio.of_string text in
+  let per_chunk = [ 1; 1; 1; 1 ] in
+  ignore (check_all_passes (trace, 2, per_chunk) : bool);
+  let sh = Sharded.of_string ~name:"once.lpt" (B.to_string_v3 ~chunk_events:2 trace) in
+  let lint = Lp_analysis.Lint.pass ~only:[ "chain-anomaly" ] () in
+  let diags =
+    lint.merge (Sharded.source sh)
+      (List.map (Pass.run_range lint) (partition_of sh per_chunk))
+  in
+  Alcotest.(check (list int)) "one anomaly, at the first use" [ 0 ]
+    (List.map (fun (d : D.t) -> Option.get d.D.event) diags)
+
+(* -- a real workload across domain counts ------------------------------------------ *)
 
 let shard_orchestrators () =
-  let config = Lifetime.Config.default in
-  let threshold = 64 in
   let trace = Lp_workloads.Registry.trace ~program:"perl" ~input:"tiny" () in
   let sh =
     Sharded.of_string ~name:"perl.lpt" (B.to_string_v3 ~chunk_events:64 trace)
   in
   if Sharded.n_chunks sh < 3 then
     Alcotest.failf "expected several chunks, got %d" (Sharded.n_chunks sh);
-  let st_expect = Lp_trace.Stats.compute_source (Source.of_trace trace) in
-  let lt_expect =
-    summary_fingerprint
-      (Lp_trace.Lifetimes.summary_source ~threshold (Source.of_trace trace))
-  in
-  let tr_expect =
-    let src = Source.of_trace trace in
-    let st = Lifetime.Train.collect_source ~config src in
-    model_string_of_streamed ~config ~program:src.Source.program
-      ~funcs:(src.Source.funcs ()) st
-  in
-  let li_expect =
-    D.list_to_json (Lp_analysis.Lint.run_source (Source.of_trace trace))
-  in
-  List.iter
-    (fun domains ->
-      let tag fmt = Printf.sprintf fmt domains in
-      if Lifetime.Shard.stats ~domains sh <> st_expect then
-        Alcotest.failf "stats differ at %d domains" domains;
-      Alcotest.(check bool)
-        (tag "lifetimes @%d domains")
-        true
-        (summary_fingerprint (Lifetime.Shard.lifetimes ~domains ~threshold sh)
-        = lt_expect);
-      let st = Lifetime.Shard.train ~domains ~config sh in
-      Alcotest.(check string)
-        (tag "model @%d domains")
-        tr_expect
-        (model_string_of_streamed ~config
-           ~program:(Sharded.header sh).B.program
-           ~funcs:(B.indexed_funcs (Sharded.index sh))
-           st);
-      Alcotest.(check string)
-        (tag "lint @%d domains")
-        li_expect
-        (D.list_to_json (Lp_analysis.Lint.run_sharded ~domains sh)))
-    [ 1; 2; 3 ]
+  ignore (check_all_passes (trace, 64, [ 1; 2; 3 ]) : bool)
 
 (* -- the empty trace: one empty chunk ----------------------------------------------- *)
 
@@ -526,10 +541,10 @@ let empty_trace_edge () =
     (events (Sharded.source sh));
   let w = Source.sub (Sharded.source sh) ~first:0 ~count:0 in
   Alcotest.(check (list pass)) "empty sub" [] (events w);
-  let st = Lifetime.Shard.stats ~domains:2 sh in
+  let st = Lifetime.Shard.run ~domains:2 Lp_trace.Stats.pass sh in
   Alcotest.(check int) "no objects" 0 st.Lp_trace.Stats.total_objects;
   Alcotest.(check (list pass)) "no diagnostics" []
-    (Lp_analysis.Lint.run_sharded ~domains:2 sh)
+    (Lifetime.Shard.run ~domains:2 (Lp_analysis.Lint.pass ()) sh)
 
 (* -- the corrupt corpus, linted range-parallel -------------------------------------- *)
 
@@ -547,7 +562,8 @@ let lint_sharded_corpus_equivalence () =
       List.iter
         (fun domains ->
           let got =
-            D.list_to_json (Lp_analysis.Lint.run_sharded ~domains sh)
+            D.list_to_json
+              (Lifetime.Shard.run ~domains (Lp_analysis.Lint.pass ()) sh)
           in
           Alcotest.(check string)
             (Printf.sprintf "%s @%d domains" file domains)
@@ -622,6 +638,8 @@ let suites =
           realloc_carry_across_chunk_boundary;
         Alcotest.test_case "Shard orchestrators across domain counts" `Quick
           shard_orchestrators;
+        Alcotest.test_case "chain anomaly reported once across ranges" `Quick
+          chain_anomaly_once_across_ranges;
         Alcotest.test_case "empty trace is one empty chunk" `Quick
           empty_trace_edge;
         Alcotest.test_case "corrupt corpus lints range-parallel identically"

@@ -201,7 +201,7 @@ let train_streamed_equivalence =
     (QCheck.make random_trace_gen)
     (fun trace ->
       let config = Lifetime.Config.default in
-      let table = Lifetime.Train.collect ~config trace in
+      let table = Fold_reference.collect ~config trace in
       let predictor = Lifetime.Predictor.build ~config ~funcs:trace.funcs table in
       let expect =
         Lifetime.Model.to_string
@@ -210,7 +210,7 @@ let train_streamed_equivalence =
       List.for_all
         (fun (kind, make) ->
           let src : Source.t = make () in
-          let st = Lifetime.Train.collect_source ~config src in
+          let st = Lp_trace.Pass.run (Lifetime.Train.pass ~config ()) src in
           let funcs = src.Source.funcs () in
           let predictor' =
             Lifetime.Predictor.build ~config ~funcs st.Lifetime.Train.table
@@ -233,10 +233,10 @@ let stats_streamed_equivalence =
   QCheck.Test.make ~count:50 ~name:"streamed stats equal materialized stats"
     (QCheck.make random_trace_gen)
     (fun trace ->
-      let expect = Lp_trace.Stats.compute trace in
+      let expect = Fold_reference.stats trace in
       List.for_all
         (fun (kind, make) ->
-          let got = Lp_trace.Stats.compute_source (make ()) in
+          let got = Lp_trace.Pass.run Lp_trace.Stats.pass (make ()) in
           if got <> expect then
             QCheck.Test.fail_reportf "stats differ via %s source" kind;
           true)
@@ -260,7 +260,9 @@ let lifetimes_streamed_equivalence =
             short := !short + size);
       List.for_all
         (fun (kind, make) ->
-          let s = Lp_trace.Lifetimes.summary_source ~threshold (make ()) in
+          let s =
+            Lp_trace.Pass.run (Lp_trace.Lifetimes.summary ~threshold) (make ())
+          in
           let same_quartiles =
             (* a trace without allocations has an empty histogram on both
                paths; quartiles raise there, so compare counts instead *)
@@ -303,7 +305,8 @@ let lint_stream_corpus_equivalence () =
       let contents = In_channel.with_open_bin path In_channel.input_all in
       let got =
         D.list_to_json
-          (Lp_analysis.Lint.run_source (Source.of_string ~name:path contents))
+          (Lp_trace.Pass.run (Lp_analysis.Lint.pass ())
+             (Source.of_string ~name:path contents))
       in
       Alcotest.(check string) file expect got)
     corpus_files

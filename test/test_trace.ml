@@ -50,10 +50,12 @@ let short_lived () =
 
 let max_live () =
   let trace = tiny_trace () in
-  let bytes, objs = L.max_live trace in
+  let s = Lp_trace.Stats.compute trace in
   (* live: a(10) -> a+b(30) -> b(20) -> b+c(50) -> b(20) *)
-  Alcotest.(check int) "max bytes" 50 bytes;
-  Alcotest.(check int) "max objects" 2 objs
+  Alcotest.(check int) "max bytes" 50 s.max_bytes;
+  Alcotest.(check int) "max objects" 2 s.max_objects;
+  Alcotest.(check (pair int int)) "reference scan agrees" (50, 2)
+    (Fold_reference.max_live trace)
 
 let stats () =
   let trace = tiny_trace () in

@@ -59,8 +59,8 @@ let stream_arg =
      materializing the event array: binary $(b,.lpt) files decode \
      incrementally over a read-only memory map, text traces parse \
      line-at-a-time.  Results are byte-identical to the materialized path; \
-     peak memory is bounded by the live-object population instead of the \
-     trace length."
+     peak memory is bounded by the number of objects instead of the number \
+     of events."
   in
   Arg.(value & flag & info [ "stream" ] ~doc)
 

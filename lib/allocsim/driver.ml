@@ -336,66 +336,105 @@ let run ?cache ?predictor trace backend =
 let run_named ?cache ?predictor ?arena_config trace name =
   run ?cache ?predictor trace (Registry.backend ?arena_config name)
 
-(* The streaming twin of [run_prepared_impl]: one pull per event, per-object
-   tables grow as ids appear (the final object count is unknown until the
-   source is exhausted), so resident memory scales with the live-object
-   population instead of the trace length.  Validation cannot be hoisted —
-   there is no second pass over a stream — so it stays inline here; metrics
-   are the same (the qcheck equivalence suite holds the two loops
-   byte-identical) but the flat array loop above stays the hot path for
-   in-memory replay. *)
+(* Streamed replay: the replay of [run_prepared_impl], walked a block of
+   events at a time straight off the source's cursor, so a binary source
+   hands its decoded columns to the allocator without boxing an event.
+   The per-object tables are flat arrays sized from the source's
+   object-id bound ([n_objects_hint]) — the pooled scratch tables of the
+   materialized loop — and grow only when an id passes them, which
+   happens on sources that declare no bound.
+   Validation cannot be hoisted — there is no second pass over a stream
+   — so it stays inline, with [validate]'s messages and event indices;
+   metrics are the same (the qcheck equivalence suite holds the two
+   loops byte-identical). *)
 let run_source_impl ?cache ?predictor (src : Lp_trace.Source.t)
     (module B : Backend.BACKEND) : Metrics.t =
   let hint =
     match src.Lp_trace.Source.n_objects_hint with Some n -> n | None -> 1024
   in
   let b = B.create ~hint () in
-  let addr_of = Lp_trace.Grow.create ~default:(-1) hint in
-  let size_of = Lp_trace.Grow.create hint in
-  (* only touch simulation reads the per-object stride cursor; without a
-     cache don't spend an object-sized array on it *)
-  let ref_cursor =
-    Lp_trace.Grow.create (match cache with Some _ -> hint | None -> 0)
+  let predictor = if B.uses_prediction then predictor else None in
+  (* the tables come from the domain's scratch pool, as in
+     [run_prepared_impl]; only ids below [limit] index them (the pooled
+     arrays may be longer, with stale entries past it) *)
+  let limit = ref (max 16 hint) in
+  let scratch = Scratch.acquire () in
+  Fun.protect ~finally:(fun () -> Scratch.release scratch) @@ fun () ->
+  let addr_of, size_of, ref_cursor =
+    let addrs, sizes, cursors =
+      Scratch.tables scratch ~n_objects:!limit ~cursor:(cache <> None)
+    in
+    (ref addrs, ref sizes, ref cursors)
   in
+  (* only predicting replays track births and verdicts *)
+  let birth_of, flag_of =
+    match predictor with
+    | None -> (ref [||], ref Bytes.empty)
+    | Some _ ->
+        let births, flags = Scratch.predict_tables scratch ~n_objects:!limit in
+        (ref births, ref flags)
+  in
+  (* make room for the id of an allocated object, in private tables from
+     then on; the other events read an id past [limit] as never
+     allocated *)
+  let grow ~event obj =
+    if obj >= Sys.max_array_length then
+      event_error ~event "alloc of out-of-range" obj;
+    let n = ref !limit in
+    while obj >= !n do
+      n := if !n >= Sys.max_array_length / 2 then Sys.max_array_length else 2 * !n
+    done;
+    let widen a default =
+      if Array.length a = 0 then a
+      else begin
+        let w = Array.make !n default in
+        Array.blit a 0 w 0 !limit;
+        w
+      end
+    in
+    addr_of := widen !addr_of (-1);
+    size_of := widen !size_of 0;
+    ref_cursor := widen !ref_cursor 0;
+    birth_of := widen !birth_of (-1);
+    if Bytes.length !flag_of > 0 then begin
+      let w = Bytes.make !n '\000' in
+      Bytes.blit !flag_of 0 w 0 !limit;
+      flag_of := w
+    end;
+    limit := !n
+  in
+  let addr_at obj = if obj < !limit then Array.unsafe_get !addr_of obj else -1 in
   let live = ref 0 in
   let max_live = ref 0 in
   let total_bytes = ref 0 in
-  let predictor = if B.uses_prediction then predictor else None in
   let reallocs = ref 0 in
   let realloc_in_place = ref 0 in
   let realloc_moves = ref 0 in
-  (* streaming twin of the prepared loop's oracle outcome tracking: Grow
-     tables (the object population is unknown mid-stream), same semantics *)
-  let tracking = match predictor with Some _ -> hint | None -> 0 in
-  let birth_of = Lp_trace.Grow.create ~default:(-1) tracking in
-  let flag_of = Lp_trace.Grow.create tracking in
-  let max_obj = ref (-1) in
   let predictions = ref 0 in
   let mis_short = ref 0 in
   let mis_long = ref 0 in
   let observe_outcome (p : predictor) ~obj ~survived =
-    let birth = Lp_trace.Grow.get birth_of obj in
+    let birth = Array.unsafe_get !birth_of obj in
     if birth >= 0 then begin
       let lifetime = !total_bytes - birth in
       let short = (not survived) && lifetime < p.short_threshold in
-      if Lp_trace.Grow.get flag_of obj <> 0 then begin
+      if Bytes.unsafe_get !flag_of obj <> '\000' then begin
         if not short then incr mis_short
       end
       else if short then incr mis_long;
       (match p.on_outcome with
       | Some f -> f ~obj ~lifetime ~survived
       | None -> ());
-      Lp_trace.Grow.set birth_of obj (-1)
+      Array.unsafe_set !birth_of obj (-1)
     end
   in
-  (* streaming twin of [run_prepared_impl]'s [do_realloc]; Grow tables
-     instead of flat arrays, identical semantics *)
+  (* [run_prepared_impl]'s [do_realloc] with inline validation *)
   let do_realloc ~event ~obj ~old_size ~new_size ~chain ~key =
     if obj < 0 then event_error ~event "realloc of out-of-range" obj;
-    let addr = Lp_trace.Grow.get addr_of obj in
+    let addr = addr_at obj in
     if addr < 0 then
       event_error ~event "realloc of never-allocated or already-freed" obj;
-    let tracked = Lp_trace.Grow.get size_of obj in
+    let tracked = Array.unsafe_get !size_of obj in
     let predicted =
       match predictor with
       | None -> false
@@ -403,7 +442,7 @@ let run_source_impl ?cache ?predictor (src : Lp_trace.Source.t)
           B.charge_alloc b p.predict_cost;
           let v = p.predicted ~obj ~size:new_size ~chain ~key in
           incr predictions;
-          Lp_trace.Grow.set flag_of obj (if v then 1 else 0);
+          Bytes.unsafe_set !flag_of obj (if v then '\001' else '\000');
           v
     in
     let new_addr, moved =
@@ -426,91 +465,104 @@ let run_source_impl ?cache ?predictor (src : Lp_trace.Source.t)
       incr realloc_in_place;
       B.charge_alloc b Cost_model.realloc_in_place
     end;
-    Lp_trace.Grow.set addr_of obj new_addr;
-    Lp_trace.Grow.set size_of obj new_size;
+    Array.unsafe_set !addr_of obj new_addr;
+    Array.unsafe_set !size_of obj new_size;
     total_bytes := !total_bytes + max 0 (new_size - old_size);
     let l = !live - tracked + new_size in
     live := l;
     if l > !max_live then max_live := l;
     new_addr
   in
-  let event = ref (-1) in
-  let rec loop () =
-    match Lp_trace.Source.next src with
-    | None -> ()
-    | Some ev ->
-        incr event;
-        let event = !event in
-        (match ev with
-        | Lp_trace.Event.Alloc { obj; size; chain; key; _ } ->
-            if obj < 0 then event_error ~event "alloc of out-of-range" obj;
-            if Lp_trace.Grow.get addr_of obj >= 0 then
-              event_error ~event "second alloc of live" obj;
-            let predicted =
-              match predictor with
-              | None -> false
-              | Some p ->
-                  B.charge_alloc b p.predict_cost;
-                  let v = p.predicted ~obj ~size ~chain ~key in
-                  incr predictions;
-                  Lp_trace.Grow.set birth_of obj !total_bytes;
-                  Lp_trace.Grow.set flag_of obj (if v then 1 else 0);
-                  if obj > !max_obj then max_obj := obj;
-                  v
-            in
-            let addr = B.alloc b ~size ~predicted in
-            Lp_trace.Grow.set addr_of obj addr;
-            Lp_trace.Grow.set size_of obj size;
-            total_bytes := !total_bytes + size;
-            let l = !live + size in
-            live := l;
-            if l > !max_live then max_live := l;
-            (match cache with
-            | Some c -> Cache.access_range c ~addr ~bytes:8
-            | None -> ())
-        | Lp_trace.Event.Free { obj; _ } ->
-            if obj < 0 then event_error ~event "free of out-of-range" obj;
-            let addr = Lp_trace.Grow.get addr_of obj in
-            if addr < 0 then
-              event_error ~event "free of never-allocated or already-freed" obj;
-            B.free b addr;
-            live := !live - Lp_trace.Grow.get size_of obj;
-            (match cache with
-            | Some c -> Cache.access_range c ~addr ~bytes:8
-            | None -> ());
-            Lp_trace.Grow.set addr_of obj (-1);
-            (match predictor with
-            | Some p -> observe_outcome p ~obj ~survived:false
-            | None -> ())
-        | Lp_trace.Event.Realloc { obj; old_size; new_size; chain; key; _ } -> (
-            let new_addr =
-              do_realloc ~event ~obj ~old_size ~new_size ~chain ~key
-            in
-            match cache with
-            | Some c -> Cache.access_range c ~addr:new_addr ~bytes:8
-            | None -> ())
-        | Lp_trace.Event.Touch { obj; count } -> (
-            if obj < 0 then event_error ~event "touch of out-of-range" obj;
-            match cache with
-            | None -> ()
-            | Some c ->
-                let addr = Lp_trace.Grow.get addr_of obj in
-                let size = Lp_trace.Grow.get size_of obj in
-                if addr >= 0 then
-                  for _ = 1 to count do
-                    Cache.access c
-                      (addr + (Lp_trace.Grow.get ref_cursor obj mod max 1 size));
-                    Lp_trace.Grow.set ref_cursor obj
-                      (Lp_trace.Grow.get ref_cursor obj + 16)
-                  done));
-        loop ()
+  (* index of the first event of the block being walked *)
+  let first_event = ref 0 in
+  let replay_block (blk : Lp_trace.Block.t) lo hi =
+    let base = !first_event - lo in
+    for i = lo to hi - 1 do
+      let event = base + i in
+      let obj = Array.unsafe_get blk.obj i in
+      (* the kind byte is matched here rather than decoded by a [Block]
+         function: dune's dev profile builds with -opaque, so a
+         cross-module call would stay a call for every event *)
+      match Bytes.unsafe_get blk.kinds i with
+      | '\000' (* alloc *) ->
+          if obj < 0 then event_error ~event "alloc of out-of-range" obj;
+          if obj >= !limit then grow ~event obj;
+          if Array.unsafe_get !addr_of obj >= 0 then
+            event_error ~event "second alloc of live" obj;
+          let size = Array.unsafe_get blk.size i in
+          let predicted =
+            match predictor with
+            | None -> false
+            | Some p ->
+                B.charge_alloc b p.predict_cost;
+                let v =
+                  p.predicted ~obj ~size ~chain:(Array.unsafe_get blk.chain i)
+                    ~key:(Array.unsafe_get blk.key i)
+                in
+                incr predictions;
+                Array.unsafe_set !birth_of obj !total_bytes;
+                Bytes.unsafe_set !flag_of obj (if v then '\001' else '\000');
+                v
+          in
+          let addr = B.alloc b ~size ~predicted in
+          Array.unsafe_set !addr_of obj addr;
+          Array.unsafe_set !size_of obj size;
+          total_bytes := !total_bytes + size;
+          let l = !live + size in
+          live := l;
+          if l > !max_live then max_live := l;
+          (match cache with
+          | Some c -> Cache.access_range c ~addr ~bytes:8
+          | None -> ())
+      | '\001' (* free *) ->
+          if obj < 0 then event_error ~event "free of out-of-range" obj;
+          let addr = addr_at obj in
+          if addr < 0 then
+            event_error ~event "free of never-allocated or already-freed" obj;
+          B.free b addr;
+          live := !live - Array.unsafe_get !size_of obj;
+          (match cache with
+          | Some c -> Cache.access_range c ~addr ~bytes:8
+          | None -> ());
+          Array.unsafe_set !addr_of obj (-1);
+          (match predictor with
+          | Some p -> observe_outcome p ~obj ~survived:false
+          | None -> ())
+      | '\002' (* realloc *) -> (
+          let new_addr =
+            do_realloc ~event ~obj
+              ~old_size:(Array.unsafe_get blk.size i)
+              ~new_size:(Array.unsafe_get blk.new_size i)
+              ~chain:(Array.unsafe_get blk.chain i)
+              ~key:(Array.unsafe_get blk.key i)
+          in
+          match cache with
+          | Some c -> Cache.access_range c ~addr:new_addr ~bytes:8
+          | None -> ())
+      | _ (* touch *) -> (
+          if obj < 0 then event_error ~event "touch of out-of-range" obj;
+          match cache with
+          | None -> ()
+          | Some c ->
+              let addr = addr_at obj in
+              if addr >= 0 then begin
+                let size = Array.unsafe_get !size_of obj in
+                let cursor = !ref_cursor in
+                for _ = 1 to Array.unsafe_get blk.size i do
+                  Cache.access c
+                    (addr + (Array.unsafe_get cursor obj mod max 1 size));
+                  Array.unsafe_set cursor obj (Array.unsafe_get cursor obj + 16)
+                done
+              end)
+    done;
+    first_event := !first_event + (hi - lo)
   in
-  loop ();
+  Lp_trace.Source.iter_blocks replay_block src;
   (match predictor with
   | None -> ()
   | Some p ->
-      for obj = 0 to !max_obj do
-        if Lp_trace.Grow.get birth_of obj >= 0 then
+      for obj = 0 to !limit - 1 do
+        if Array.unsafe_get !birth_of obj >= 0 then
           observe_outcome p ~obj ~survived:true
       done);
   {

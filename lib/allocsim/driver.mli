@@ -114,16 +114,21 @@ val run_source :
   Lp_trace.Source.t ->
   Backend.t ->
   Metrics.t
-(** Single-pass streaming replay: pulls each event from the source once
-    and never materializes the trace, so peak memory is bounded by the
-    live-object population.  Metrics are byte-identical to [run] on the
-    equivalent materialized trace (enforced by the equivalence test
-    suite).  Validation stays inline (a stream has no second pass) and is
-    the same except that out-of-range object ids above the final object
+(** Single-pass streaming replay: walks the source a block of events
+    at a time ({!Lp_trace.Source.iter_blocks}) and never materializes
+    the trace, so peak memory is bounded by the per-object tables —
+    sized by the source's object-id bound ([n_objects_hint], grown when
+    a source without one names larger ids) — not by the number of
+    events.  Metrics are byte-identical to [run] on the equivalent
+    materialized trace (enforced by the equivalence test suite).
+    Validation stays inline (a stream has no second pass) and is the
+    same except that out-of-range object ids above the final object
     count cannot be detected mid-stream (the count is only known at
     exhaustion); such events surface as never-allocated frees or pass
-    through as touches.  The source is consumed; a fresh source is
-    needed per replay.
+    through as touches.  A decode error in the source is raised only
+    when the replay reaches the failing event, so an earlier replay
+    error is the one reported.  The source is consumed; a fresh source
+    is needed per replay.
 
     [decode_ahead] (default false) pipelines the replay: decoding moves
     to a second domain running ahead of the simulation through

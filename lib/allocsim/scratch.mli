@@ -1,9 +1,11 @@
 (** Per-domain pools of per-replay scratch arrays.
 
-    Candidate sweeps replay one trace through many backends; the
-    per-replay object tables ([addr_of]/[size_of]/[ref_cursor]) are the
-    only driver-side allocations that scale with the trace, so they are
-    pooled per domain and reset by prefix fill instead of reallocated.
+    Candidate sweeps replay one trace through many backends, and a
+    streamed simulation replays one file per job; the per-replay object
+    tables ([addr_of]/[size_of]/[ref_cursor]) are the only driver-side
+    allocations that scale with the trace, so both replay loops take
+    them from a per-domain pool, reset by prefix fill instead of
+    reallocated.
     Reuse is observable as the ["replay.scratch_reuses"] counter of
     {!Lp_obs.Timings} when timings are enabled. *)
 

@@ -554,4 +554,4 @@ let instance_for_source t ~predict_cost (src : Lp_trace.Source.t) =
   | Online { params; config } ->
       online_instance ~params ~config ~predict_cost
         ~chain_of:src.Lp_trace.Source.chain ~funcs:src.Lp_trace.Source.funcs
-        ~hint:1024
+        ~hint:(Option.value src.Lp_trace.Source.n_objects_hint ~default:1024)

@@ -573,7 +573,11 @@ type tables = {
   mutable n_chains : int;
   mutable tags : string array;
   mutable n_tags : int;
-  mutable site_defs : (int * int * int) array;
+  (* the site table as three columns, read by the block filler's packed
+     alloc path without a tuple indirection *)
+  mutable site_chain : int array;
+  mutable site_key : int array;
+  mutable site_tag : int array;
   mutable n_sites : int;
 }
 
@@ -585,16 +589,20 @@ let fresh_tables () =
     n_chains = 0;
     tags = Array.make 16 "";
     n_tags = 0;
-    site_defs = Array.make 16 (0, 0, 0);
+    site_chain = Array.make 16 0;
+    site_key = Array.make 16 0;
+    site_tag = Array.make 16 0;
     n_sites = 0;
   }
 
-let append_slot arr n dummy =
-  let cap = Array.length !arr in
-  if n = cap then begin
+(* [arr] with room for slot [n], doubled when full *)
+let with_slot arr n dummy =
+  let cap = Array.length arr in
+  if n < cap then arr
+  else begin
     let grown = Array.make (2 * max 16 cap) dummy in
-    Array.blit !arr 0 grown 0 n;
-    arr := grown
+    Array.blit arr 0 grown 0 n;
+    grown
   end
 
 (* parsed footer entry: the replay counters at one chunk's entry *)
@@ -611,6 +619,7 @@ type chunk_info = {
 type decoder = {
   c : cursor;
   version : int;
+  alloc_base : int;  (* first packed-alloc opcode of [version] *)
   hdr : header;
   tbl : tables;
   chunk_events : int;  (* 0 for v1/v2 *)
@@ -629,6 +638,11 @@ type decoder = {
   mutable prev_touch : int;
   mutable prev_realloc : int;
   mutable closed : bool;
+  mutable pending : exn option;
+      (* a decode error met by {!fill} after the events it returned;
+         raised by the next fill, which would start at the failing event *)
+  mutable own : Block.t;  (* {!decode_next}'s block *)
+  mutable own_pos : int;
 }
 
 (* -- shared table-section readers (v1/v2 read one delta covering the
@@ -654,9 +668,7 @@ let read_chain_delta tbl c =
         if f >= tbl.n_funcs then
           fail c (Printf.sprintf "chain references unknown function %d" f))
       chain;
-    let arr = ref tbl.chains in
-    append_slot arr tbl.n_chains [||];
-    tbl.chains <- !arr;
+    tbl.chains <- with_slot tbl.chains tbl.n_chains [||];
     tbl.chains.(tbl.n_chains) <- chain;
     tbl.n_chains <- tbl.n_chains + 1
   done
@@ -666,9 +678,7 @@ let read_tag_delta tbl c =
   if n > c.len - c.pos then fail c "impossible element count";
   for _ = 1 to n do
     let tag = read_string c in
-    let arr = ref tbl.tags in
-    append_slot arr tbl.n_tags "";
-    tbl.tags <- !arr;
+    tbl.tags <- with_slot tbl.tags tbl.n_tags "";
     tbl.tags.(tbl.n_tags) <- tag;
     tbl.n_tags <- tbl.n_tags + 1
   done
@@ -684,11 +694,14 @@ let read_site_delta tbl c =
     let tag = read_zigzag c in
     if tag >= tbl.n_tags then
       fail c (Printf.sprintf "site references unknown tag %d" tag);
-    let arr = ref tbl.site_defs in
-    append_slot arr tbl.n_sites (0, 0, 0);
-    tbl.site_defs <- !arr;
-    tbl.site_defs.(tbl.n_sites) <- (chain, key, tag);
-    tbl.n_sites <- tbl.n_sites + 1
+    let n = tbl.n_sites in
+    tbl.site_chain <- with_slot tbl.site_chain n 0;
+    tbl.site_key <- with_slot tbl.site_key n 0;
+    tbl.site_tag <- with_slot tbl.site_tag n 0;
+    tbl.site_chain.(n) <- chain;
+    tbl.site_key.(n) <- key;
+    tbl.site_tag.(n) <- tag;
+    tbl.n_sites <- n + 1
   done
 
 let read_table_deltas tbl c =
@@ -855,6 +868,7 @@ let decoder ?name (buf : bytes_view) : decoder =
   {
     c;
     version = v;
+    alloc_base = alloc_base_of_version v;
     hdr;
     tbl;
     chunk_events;
@@ -870,6 +884,9 @@ let decoder ?name (buf : bytes_view) : decoder =
     prev_touch = 0;
     prev_realloc = 0;
     closed = false;
+    pending = None;
+    own = Block.empty;
+    own_pos = 0;
   }
 
 let header d = d.hdr
@@ -890,77 +907,188 @@ let decoder_tag d id =
 
 let decoder_n_tags d = d.tbl.n_tags
 
-(* The per-event decode is a set of top-level functions rather than
-   closures built inside [read_event], so decoding an event allocates
-   only the event itself.  The order of reads and checks is part of the
-   error contract — a site id is read and checked before the object it
-   allocates, a size after — because it fixes the byte offset each
-   failure reports. *)
-let site_def d what id =
-  if id < 0 || id >= d.tbl.n_sites then
-    fail d.c (Printf.sprintf "%s references unknown site %d" what id);
-  d.tbl.site_defs.(id)
+(* -- the block filler: the one event decoder ------------------------------------
 
-let check_obj d what obj =
-  if obj < 0 || obj >= d.hdr.n_objects then
-    fail d.c (Printf.sprintf "%s of out-of-range object %d" what obj)
+   Every event of every version — v1/v2 whole streams, v3 sequential and
+   range decoders — is decoded by [fill_run], straight from the mapped
+   bytes into a {!Block}'s columns; per-event APIs box out of a block.
+   The packed one-byte opcodes take the inline arms of [fill_run], the
+   long ones [fill_long].  The order of reads and
+   checks is part of the error contract — a site id is read and checked
+   before the object it allocates, a size after — because it fixes the
+   byte offset each failure reports. *)
 
-let decode_alloc d obj (chain, key, tag) =
-  check_obj d "alloc" obj;
+let fail_obj c what obj =
+  fail c (Printf.sprintf "%s of out-of-range object %d" what obj)
+
+let fail_site c what id =
+  fail c (Printf.sprintf "%s references unknown site %d" what id)
+
+(* an alloc of [obj] at the (unchecked) site id [site], then its size *)
+let fill_alloc d b i ~obj site =
+  let c = d.c and tbl = d.tbl in
+  if site < 0 || site >= tbl.n_sites then fail_site c "alloc" site;
+  if obj < 0 || obj >= d.hdr.n_objects then fail_obj c "alloc" obj;
   d.prev_alloc <- obj;
-  let size = read_varint d.c in
-  Event.Alloc { obj; size; chain; key; tag }
+  let size = read_varint c in
+  Block.set_alloc b i ~obj ~size
+    ~chain:(Array.unsafe_get tbl.site_chain site)
+    ~key:(Array.unsafe_get tbl.site_key site)
+    ~tag:(Array.unsafe_get tbl.site_tag site)
 
-(* an implicit-object alloc at the site id [site] *)
-let decode_next_alloc d site =
-  let def = site_def d "alloc" site in
-  decode_alloc d (d.prev_alloc + 1) def
-
-let decode_free d ~size delta =
+let fill_free d b i ~size delta =
   let obj = d.prev_free + delta in
-  check_obj d "free" obj;
+  if obj < 0 || obj >= d.hdr.n_objects then fail_obj d.c "free" obj;
   d.prev_free <- obj;
-  Event.Free { obj; size }
+  Block.set_free b i ~obj ~size
 
-let decode_touch d delta count =
+let fill_touch d b i ~count delta =
   let obj = d.prev_touch + delta in
-  check_obj d "touch" obj;
+  if obj < 0 || obj >= d.hdr.n_objects then fail_obj d.c "touch" obj;
   d.prev_touch <- obj;
-  Event.Touch { obj; count }
+  Block.set_touch b i ~obj ~count
 
-let decode_realloc d delta (chain, key, tag) =
-  let obj = d.prev_realloc + delta in
-  check_obj d "realloc" obj;
-  d.prev_realloc <- obj;
-  let old_size = read_varint d.c in
-  let new_size = read_varint d.c in
-  Event.Realloc { obj; old_size; new_size; chain; key; tag }
-
-let read_event d =
+(* the long opcodes: everything below the packed-alloc base *)
+let fill_long d b i op =
   let c = d.c in
-  match read_byte c with
-  | 0x00 -> decode_next_alloc d (read_varint c)
+  match op with
+  | 0x00 -> fill_alloc d b i ~obj:(d.prev_alloc + 1) (read_varint c)
   | 0x01 ->
       let obj = read_varint c in
-      let def = site_def d "alloc" (read_varint c) in
-      decode_alloc d obj def
-  | 0x02 -> decode_free d ~size:(-1) (read_zigzag c)
+      fill_alloc d b i ~obj (read_varint c)
+  | 0x02 -> fill_free d b i ~size:(-1) (read_zigzag c)
   | 0x03 ->
       let delta = read_zigzag c in
-      decode_touch d delta (read_varint c)
-  | op when d.version >= version_sized && op = sized_free_op ->
+      fill_touch d b i ~count:(read_varint c) delta
+  | _ when op = sized_free_op && d.version >= version_sized ->
       let delta = read_zigzag c in
-      decode_free d ~size:(read_varint c) delta
-  | op when d.version >= version_sharded && op = realloc_op ->
+      fill_free d b i ~size:(read_varint c) delta
+  | _ when op = realloc_op && d.version >= version_sharded ->
       let delta = read_zigzag c in
-      decode_realloc d delta (site_def d "realloc" (read_varint c))
-  | op when d.version >= version_sized && op < alloc_base_of_version d.version
-    ->
-      fail c (Printf.sprintf "reserved opcode %#x" op)
-  | op when op < 0x40 ->
-      decode_next_alloc d (op - alloc_base_of_version d.version)
-  | op when op < 0x80 -> decode_free d ~size:(-1) (unzigzag (op land 0x3f))
-  | op -> decode_touch d (unzigzag ((op lsr 4) land 0x7)) ((op land 0xf) + 1)
+      let site = read_varint c in
+      let tbl = d.tbl in
+      if site < 0 || site >= tbl.n_sites then fail_site c "realloc" site;
+      let obj = d.prev_realloc + delta in
+      if obj < 0 || obj >= d.hdr.n_objects then fail_obj c "realloc" obj;
+      d.prev_realloc <- obj;
+      let old_size = read_varint c in
+      let new_size = read_varint c in
+      Block.set_realloc b i ~obj ~old_size ~new_size
+        ~chain:(Array.unsafe_get tbl.site_chain site)
+        ~key:(Array.unsafe_get tbl.site_key site)
+        ~tag:(Array.unsafe_get tbl.site_tag site)
+  | _ -> fail c (Printf.sprintf "reserved opcode %#x" op)
+
+(* Decode events into slots [b.len, stop) — all inside the current
+   chunk.  The cursor position, the slot index and the delta bases live
+   in locals for the run and are written back at its end; every failure
+   site first stores the position (the message's byte offset) and the
+   slot count (so [b.len] marks exactly the events decoded before the
+   failure).  The columns are written directly rather than through
+   [Block]'s setters: the hot loop makes no cross-module call. *)
+let fill_run d (b : Block.t) stop =
+  let c = d.c in
+  let buf = c.buf and len = c.len in
+  let n_objects = d.hdr.n_objects in
+  let base = d.alloc_base in
+  let tbl = d.tbl in
+  let n_sites = tbl.n_sites in
+  let site_chain = tbl.site_chain
+  and site_key = tbl.site_key
+  and site_tag = tbl.site_tag in
+  let kinds = b.kinds and objs = b.obj and sizes = b.size in
+  let pos = ref c.pos in
+  let i = ref b.len in
+  let prev_alloc = ref d.prev_alloc
+  and prev_free = ref d.prev_free
+  and prev_touch = ref d.prev_touch in
+  while !i < stop do
+    let p = !pos in
+    if p >= len then begin
+      c.pos <- p;
+      b.len <- !i;
+      fail c "unexpected end of input"
+    end;
+    let op = Char.code (Bigarray.Array1.unsafe_get buf p) in
+    pos := p + 1;
+    if op >= 0x80 then begin
+      let obj = !prev_touch + unzigzag ((op lsr 4) land 0x7) in
+      if obj < 0 || obj >= n_objects then begin
+        c.pos <- !pos;
+        b.len <- !i;
+        fail_obj c "touch" obj
+      end;
+      prev_touch := obj;
+      Bytes.unsafe_set kinds !i '\003';
+      Array.unsafe_set objs !i obj;
+      Array.unsafe_set sizes !i ((op land 0xf) + 1)
+    end
+    else if op >= 0x40 then begin
+      let obj = !prev_free + unzigzag (op land 0x3f) in
+      if obj < 0 || obj >= n_objects then begin
+        c.pos <- !pos;
+        b.len <- !i;
+        fail_obj c "free" obj
+      end;
+      prev_free := obj;
+      Bytes.unsafe_set kinds !i '\001';
+      Array.unsafe_set objs !i obj;
+      Array.unsafe_set sizes !i (-1)
+    end
+    else if op >= base then begin
+      let site = op - base in
+      let obj = !prev_alloc + 1 in
+      if site >= n_sites || obj >= n_objects then begin
+        c.pos <- !pos;
+        b.len <- !i;
+        if site >= n_sites then fail_site c "alloc" site;
+        fail_obj c "alloc" obj
+      end;
+      prev_alloc := obj;
+      let p = !pos in
+      let byte =
+        if p < len then Char.code (Bigarray.Array1.unsafe_get buf p) else 0x80
+      in
+      let size =
+        if byte < 0x80 then begin
+          pos := p + 1;
+          byte
+        end
+        else begin
+          c.pos <- p;
+          b.len <- !i;
+          let v = read_varint c in
+          pos := c.pos;
+          v
+        end
+      in
+      Bytes.unsafe_set kinds !i '\000';
+      Array.unsafe_set objs !i obj;
+      Array.unsafe_set sizes !i size;
+      Array.unsafe_set b.chain !i (Array.unsafe_get site_chain site);
+      Array.unsafe_set b.key !i (Array.unsafe_get site_key site);
+      Array.unsafe_set b.tag !i (Array.unsafe_get site_tag site)
+    end
+    else begin
+      (* a long opcode: hand the state to [fill_long] and take it back *)
+      c.pos <- !pos;
+      b.len <- !i;
+      d.prev_alloc <- !prev_alloc;
+      d.prev_free <- !prev_free;
+      d.prev_touch <- !prev_touch;
+      fill_long d b !i op;
+      pos := c.pos;
+      prev_alloc := d.prev_alloc;
+      prev_free := d.prev_free;
+      prev_touch := d.prev_touch
+    end;
+    incr i
+  done;
+  c.pos <- !pos;
+  b.len <- !i;
+  d.prev_alloc <- !prev_alloc;
+  d.prev_free <- !prev_free;
+  d.prev_touch <- !prev_touch
 
 let reset_deltas d =
   d.prev_alloc <- -1;
@@ -997,11 +1125,12 @@ let check_chunk_end d =
     fail d.c "chunk byte length mismatch";
   d.cur_end <- -1
 
-let rec decode_next d =
-  if d.in_chunk > 0 then begin
-    d.in_chunk <- d.in_chunk - 1;
-    Some (read_event d)
-  end
+(* Move to a chunk with events left: true when there is a next event.
+   At the end of the stream the closing checks run once — the end
+   marker and trailing bytes, for v3 the footer against the chunks
+   walked — and the answer is false. *)
+let rec advance d =
+  if d.in_chunk > 0 then true
   else if d.plan_next < Array.length d.plan then begin
     check_chunk_end d;
     let pos, n, end_pos = d.plan.(d.plan_next) in
@@ -1010,11 +1139,11 @@ let rec decode_next d =
     d.cur_end <- end_pos;
     d.in_chunk <- n;
     reset_deltas d;
-    decode_next d
+    advance d
   end
   else if d.chunks_left > 0 then begin
     enter_chunk d;
-    decode_next d
+    advance d
   end
   else begin
     if not d.closed then begin
@@ -1027,20 +1156,58 @@ let rec decode_next d =
         if d.c.pos <> d.c.len then fail d.c "trailing bytes after end marker"
       end
     end;
-    None
+    false
   end
+
+let fill ?max d (b : Block.t) =
+  (match d.pending with Some e -> raise e | None -> ());
+  b.len <- 0;
+  let stop =
+    match max with Some m -> min m (Block.slots b) | None -> Block.slots b
+  in
+  try
+    while b.len < stop && advance d do
+      let k = min (stop - b.len) d.in_chunk in
+      d.in_chunk <- d.in_chunk - k;
+      fill_run d b (b.len + k)
+    done
+  with Failure _ as e ->
+    (* deferred: the events before the failure go out first, and the
+       next fill — the one that would start at the failing event —
+       raises it *)
+    d.pending <- Some e;
+    if b.len = 0 then raise e
+
+let decode_next d =
+  if d.own_pos >= d.own.len then begin
+    if Block.slots d.own = 0 then d.own <- Block.create ();
+    fill d d.own;
+    d.own_pos <- 0
+  end;
+  let i = d.own_pos in
+  if i < d.own.len then begin
+    d.own_pos <- i + 1;
+    Some (Block.get d.own i)
+  end
+  else None
 
 let of_bigarray ?name (buf : bytes_view) : Trace.t =
   let d = decoder ?name buf in
   let h = d.hdr in
   let events = Array.make h.n_events (Event.Free { obj = -1; size = -1 }) in
-  for i = 0 to h.n_events - 1 do
-    match decode_next d with
-    | Some e -> events.(i) <- e
-    | None -> assert false
+  let b = Block.create () in
+  let n = ref 0 in
+  (* drained to the end, so the closing checks run; a v3 file whose
+     chunks disagree with the header's event count fails them, so the
+     guard only keeps such a file from writing past [events] first *)
+  fill d b;
+  while b.len > 0 do
+    for i = 0 to min b.len (h.n_events - !n) - 1 do
+      events.(!n + i) <- Block.get b i
+    done;
+    n := !n + b.len;
+    fill d b
   done;
-  (* consumes the end marker and rejects trailing bytes *)
-  (match decode_next d with Some _ -> assert false | None -> ());
   {
     Trace.program = h.program;
     input = h.input;
@@ -1166,6 +1333,7 @@ let range_decoder ix ~first ~count : decoder =
   {
     c = cursor_of ~name:ix.ix_name ix.ix_buf;
     version = version_sharded;
+    alloc_base = alloc_base_of_version version_sharded;
     hdr = ix.ix_hdr;
     tbl = ix.ix_tbl;
     chunk_events = ix.ix_chunk_events;
@@ -1181,6 +1349,9 @@ let range_decoder ix ~first ~count : decoder =
     prev_touch = 0;
     prev_realloc = 0;
     closed = false;
+    pending = None;
+    own = Block.empty;
+    own_pos = 0;
   }
 
 (* Wire primitives re-exported at string granularity so the property

@@ -146,10 +146,13 @@ val big_of_string : string -> bytes_view
 
     The format is streaming-friendly: the execution counters (and, for
     v1/v2, the complete interned tables) precede the event stream, so a
-    {!decoder} exposes the {!header} up front and then yields events one
-    at a time without building the [Trace.t] event array.  The interned
-    tables live on the decoder and — in a v3 stream — grow at chunk
-    boundaries, honouring the {!Source} interning contract: any id
+    {!decoder} exposes the {!header} up front and then yields events
+    without building the [Trace.t] event array.  There is one event
+    decoder, {!fill}, which writes a run of events straight into a
+    {!Block}'s columns; {!decode_next}, {!of_bigarray} and {!Source}'s
+    per-event cursor box their {!Event.t} values out of blocks.  The
+    interned tables live on the decoder and — in a v3 stream — grow at
+    chunk boundaries, honouring the {!Source} interning contract: any id
     carried by an already-yielded event resolves, and the counts are
     monotone.  {!Source.of_file} is built on this. *)
 
@@ -174,11 +177,26 @@ val decoder : ?name:string -> bytes_view -> decoder
 
 val header : decoder -> header
 
+val fill : ?max:int -> decoder -> Block.t -> unit
+(** [fill d b] decodes the next events into [b] from slot 0, setting
+    [b.len]: [max] of them (default, and at most, the block's slots),
+    fewer only at the end of the stream or before a decode error.
+    [b.len = 0] means exhaustion; the fill that reaches the end checks
+    the end marker (and, for v3, that the footer index agrees with the
+    chunks walked) and rejects trailing bytes, so a fully drained
+    decoder has validated the same properties as a batch decode.
+
+    Decode errors are deferred: a fill that meets one returns the events
+    before it, and the next fill — the one that would start at the
+    failing event — raises it (as does every later fill).  A consumer
+    therefore sees every valid event before the error, exactly as if it
+    had decoded one event at a time.
+    @raise Failure on malformed input, with the name and byte offset. *)
+
 val decode_next : decoder -> Event.t option
-(** The next event, or [None] after the last.  The first [None] also
-    checks the end marker (and, for v3, that the footer index agrees
-    with the chunks walked) and rejects trailing bytes, so a fully
-    drained decoder has validated the same properties as a batch decode.
+(** The next event, boxed out of the decoder's own block, or [None]
+    after the last; errors and end checks as for {!fill}.  Do not mix
+    with {!fill} on one decoder.
     @raise Failure on malformed input. *)
 
 val decoder_version : decoder -> int

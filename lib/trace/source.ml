@@ -18,26 +18,86 @@ type t = {
   counters_now : unit -> counters option;
   refs_of : int -> int;
   n_objects_now : unit -> int;
-  next_ev : unit -> Event.t option;
+  fill : Block.t -> int -> Block.t;
   seek_to : (int -> unit) option;
       (** reposition so the next event yielded is the given index *)
   sub_range : (first:int -> count:int -> t) option;
+  mutable blk : Block.t;
+  mutable pos : int;
   mutable streamed : int;
   mutable finished : bool;
 }
 
-let next t =
-  match t.next_ev () with
-  | Some _ as ev ->
-      t.streamed <- t.streamed + 1;
-      ev
-  | None ->
-      if not t.finished then begin
-        t.finished <- true;
-        Lp_obs.Timings.count "trace.events_streamed" t.streamed;
-        Lp_obs.Timings.note_peak_heap ()
-      end;
-      None
+let finish t =
+  if not t.finished then begin
+    t.finished <- true;
+    Lp_obs.Timings.count "trace.events_streamed" t.streamed;
+    Lp_obs.Timings.note_peak_heap ()
+  end
+
+(* Fetch the next block; false at exhaustion.  Every cursor answers an
+   empty block again once exhausted, so a drained source stays drained
+   without a guard here (and a seek can revive it). *)
+let refill t =
+  let b = if Block.slots t.blk = 0 then Block.create () else t.blk in
+  let b = t.fill b (Block.slots b) in
+  t.blk <- b;
+  t.pos <- 0;
+  if b.Block.len > 0 then true
+  else begin
+    finish t;
+    false
+  end
+
+let rec next t =
+  let i = t.pos in
+  if i < t.blk.Block.len then begin
+    t.pos <- i + 1;
+    t.streamed <- t.streamed + 1;
+    Some (Block.get t.blk i)
+  end
+  else if refill t then next t
+  else None
+
+let iter_blocks f t =
+  let rec go () =
+    let lo = t.pos and hi = t.blk.Block.len in
+    if lo < hi then begin
+      t.pos <- hi;
+      t.streamed <- t.streamed + (hi - lo);
+      f t.blk lo hi;
+      go ()
+    end
+    else if refill t then go ()
+  in
+  go ()
+
+(* The one adapter from a per-event cursor to blocks, for every source
+   that does not decode [.lpt] bytes.  Like {!Binio.fill} it defers an
+   error: the events before it are returned first, and the call that
+   would start at the failing event raises it. *)
+let fill_of_events next_ev =
+  let pending = ref None in
+  fun (b : Block.t) max ->
+    (match !pending with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ());
+    b.Block.len <- 0;
+    let stop = min max (Block.slots b) in
+    let rec go () =
+      if b.Block.len < stop then
+        match next_ev () with
+        | Some e ->
+            Block.push b e;
+            go ()
+        | None -> ()
+    in
+    (try go ()
+     with e ->
+       let bt = Printexc.get_raw_backtrace () in
+       pending := Some (e, bt);
+       if b.Block.len = 0 then Printexc.raise_with_backtrace e bt);
+    b
 
 let iter f t =
   let rec go () =
@@ -76,7 +136,13 @@ let not_seekable what =
         v3 files only)"
        what)
 
-let seek t i = match t.seek_to with Some f -> f i | None -> not_seekable "seek"
+let seek t i =
+  match t.seek_to with
+  | Some f ->
+      f i;
+      (* what is left of the current block belongs to the old position *)
+      t.pos <- t.blk.Block.len
+  | None -> not_seekable "seek"
 
 let sub t ~first ~count =
   match t.sub_range with
@@ -108,14 +174,14 @@ let rec of_trace_range (tr : Trace.t) ~base ~len =
           });
     refs_of = (fun obj -> tr.Trace.obj_refs.(obj));
     n_objects_now = (fun () -> tr.Trace.n_objects);
-    next_ev =
-      (fun () ->
-        if !pos >= len then None
-        else begin
-          let e = tr.Trace.events.(base + !pos) in
-          incr pos;
-          Some e
-        end);
+    fill =
+      fill_of_events (fun () ->
+          if !pos >= len then None
+          else begin
+            let e = tr.Trace.events.(base + !pos) in
+            incr pos;
+            Some e
+          end);
     seek_to =
       Some
         (fun i ->
@@ -129,6 +195,8 @@ let rec of_trace_range (tr : Trace.t) ~base ~len =
             invalid_arg
               (Printf.sprintf "Source.sub: range %d+%d out of range" first count);
           of_trace_range tr ~base:(base + first) ~len:count);
+    blk = Block.empty;
+    pos = 0;
     streamed = 0;
     finished = false;
   }
@@ -161,9 +229,14 @@ let of_decoder d =
           });
     refs_of = (fun obj -> h.Binio.obj_refs.(obj));
     n_objects_now = (fun () -> h.Binio.n_objects);
-    next_ev = (fun () -> Binio.decode_next d);
+    fill =
+      (fun b max ->
+        Binio.fill ~max d b;
+        b);
     seek_to = None;
     sub_range = None;
+    blk = Block.empty;
+    pos = 0;
     streamed = 0;
     finished = false;
   }
@@ -189,9 +262,14 @@ let rec of_indexed_window (ix : Binio.indexed) ~base ~len =
   let open_at i =
     let c = chunk_of_event i in
     let d = Binio.range_decoder ix ~first:c ~count:(n_chunks - c) in
-    for _ = 1 to i - chunks.(c).Binio.ch_first_event do
-      ignore (Binio.decode_next d)
-    done;
+    let skip = ref (i - chunks.(c).Binio.ch_first_event) in
+    if !skip > 0 then begin
+      let b = Block.create () in
+      while !skip > 0 do
+        Binio.fill ~max:!skip d b;
+        skip := if b.Block.len = 0 then 0 else !skip - b.Block.len
+      done
+    end;
     d
   in
   let d = ref (open_at base) in
@@ -217,15 +295,14 @@ let rec of_indexed_window (ix : Binio.indexed) ~base ~len =
           });
     refs_of = (fun obj -> h.Binio.obj_refs.(obj));
     n_objects_now = (fun () -> h.Binio.n_objects);
-    next_ev =
-      (fun () ->
-        if !remaining <= 0 then None
-        else
-          match Binio.decode_next !d with
-          | Some _ as ev ->
-              decr remaining;
-              ev
-          | None -> None);
+    fill =
+      (fun b max ->
+        if !remaining <= 0 then b.Block.len <- 0
+        else begin
+          Binio.fill ~max:(min max !remaining) !d b;
+          remaining := !remaining - b.Block.len
+        end;
+        b);
     seek_to =
       Some
         (fun i ->
@@ -240,6 +317,8 @@ let rec of_indexed_window (ix : Binio.indexed) ~base ~len =
             invalid_arg
               (Printf.sprintf "Source.sub: range %d+%d out of range" first count);
           of_indexed_window ix ~base:(base + first) ~len:count);
+    blk = Block.empty;
+    pos = 0;
     streamed = 0;
     finished = false;
   }
@@ -250,7 +329,8 @@ let of_indexed ix =
 
 (* -- text stream --------------------------------------------------------------- *)
 
-let of_text_stream (s : Textio.stream) =
+(* [next_ev] is the event cursor, [s.s_next] unless the caller wraps it *)
+let of_text_stream ?next_ev (s : Textio.stream) =
   {
     program = s.Textio.s_program;
     input = s.Textio.s_input;
@@ -269,9 +349,11 @@ let of_text_stream (s : Textio.stream) =
         Some { instructions; calls; heap_refs; total_refs });
     refs_of = s.Textio.s_refs;
     n_objects_now = s.Textio.s_n_objects;
-    next_ev = s.Textio.s_next;
+    fill = fill_of_events (Option.value next_ev ~default:s.Textio.s_next);
     seek_to = None;
     sub_range = None;
+    blk = Block.empty;
+    pos = 0;
     streamed = 0;
     finished = false;
   }
@@ -341,23 +423,18 @@ let of_file path =
                   close ();
                   None
           in
-          let src =
-            try of_text_stream (Textio.stream ~name:path next_line)
+          let s =
+            try Textio.stream ~name:path next_line
             with e ->
               close ();
               raise e
           in
-          let inner = src.next_ev in
-          {
-            src with
-            next_ev =
-              (fun () ->
-                match inner () with
-                | Some _ as ev -> ev
-                | None ->
-                    close ();
-                    None);
-          })
+          of_text_stream s ~next_ev:(fun () ->
+              match s.Textio.s_next () with
+              | Some _ as ev -> ev
+              | None ->
+                  close ();
+                  None))
 
 (* -- workload generator -------------------------------------------------------- *)
 
@@ -445,9 +522,11 @@ let of_generator ~program ~input produce =
           !summary);
     refs_of = (fun obj -> (view ()).Trace.Builder.refs_of obj);
     n_objects_now = (fun () -> (view ()).Trace.Builder.n_objects_so_far ());
-    next_ev;
+    fill = fill_of_events next_ev;
     seek_to = None;
     sub_range = None;
+    blk = Block.empty;
+    pos = 0;
     streamed = 0;
     finished = false;
   }
@@ -455,16 +534,18 @@ let of_generator ~program ~input produce =
 (* -- decode-ahead pipeline ----------------------------------------------------- *)
 
 type ahead_item =
-  | Batch of Event.t array
+  | Filled of Block.t
   | Ahead_done
   | Ahead_failed of exn * Printexc.raw_backtrace
 
-(* A second domain drains [inner] into bounded batches; the returned
-   source yields the identical event sequence.  Table lookups delegate
-   to [inner], which is safe for ids carried by already-yielded events:
-   the producer appends table entries before enqueuing the batch, and
-   the queue's mutex gives the consumer a happens-before on them.
-   Intended for file-backed sources (generator sources run their
+(* A second domain fills blocks from [inner]; the returned source yields
+   the identical event sequence.  Blocks circulate: the producer fills a
+   spare block and queues it, and the consumer hands each block it has
+   finished back as a spare, so no events are copied.  Table lookups
+   delegate to [inner], which is safe for ids carried by already-yielded
+   events: the producer appends table entries before enqueuing the
+   block, and the queue's mutex gives the consumer a happens-before on
+   them.  Intended for file-backed sources (generator sources run their
    producer effect on the pipeline domain, so their view must not be
    consulted concurrently — wrap those only if lookups happen after
    exhaustion).  The returned source must be drained (or the error it
@@ -477,6 +558,7 @@ let decode_ahead ?(batch = 4096) ?(slots = 8) (inner : t) : t =
   let nonempty = Condition.create () in
   let nonfull = Condition.create () in
   let q : ahead_item Queue.t = Queue.create () in
+  let spares : Block.t list ref = ref [] in
   let push item =
     Mutex.lock m;
     while Queue.length q >= slots do
@@ -496,35 +578,31 @@ let decode_ahead ?(batch = 4096) ?(slots = 8) (inner : t) : t =
     Mutex.unlock m;
     item
   in
+  let spare () =
+    Mutex.protect m (fun () ->
+        match !spares with
+        | b :: rest ->
+            spares := rest;
+            b
+        | [] -> Block.create ())
+  in
+  let give_back b =
+    if Block.slots b > 0 then Mutex.protect m (fun () -> spares := b :: !spares)
+  in
   let producer () =
-    let dummy = Event.Free { obj = -1; size = -1 } in
-    let buf = Array.make batch dummy in
-    let n = ref 0 in
-    let flush () =
-      if !n > 0 then begin
-        let arr = Array.sub buf 0 !n in
-        n := 0;
-        push (Batch arr)
-      end
-    in
     let rec go () =
-      match inner.next_ev () with
-      | Some e ->
-          buf.(!n) <- e;
-          incr n;
-          if !n = batch then flush ();
-          go ()
-      | None ->
-          flush ();
-          push Ahead_done
+      let b = inner.fill (spare ()) batch in
+      if b.Block.len = 0 then push Ahead_done
+      else begin
+        push (Filled b);
+        go ()
+      end
     in
     match go () with
     | () -> ()
     | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        (* events decoded before the failure still precede it in order *)
-        flush ();
-        push (Ahead_failed (e, bt))
+        (* the blocks filled before the failure are already queued *)
+        push (Ahead_failed (e, Printexc.get_raw_backtrace ()))
   in
   let dom = Domain.spawn producer in
   let joined = ref false in
@@ -534,31 +612,23 @@ let decode_ahead ?(batch = 4096) ?(slots = 8) (inner : t) : t =
       Domain.join dom
     end
   in
-  let cur = ref [||] in
-  let pos = ref 0 in
   let ended = ref false in
-  let rec next_ev () =
-    if !ended then None
-    else if !pos < Array.length !cur then begin
-      let e = (!cur).(!pos) in
-      incr pos;
-      Some e
-    end
-    else
+  let fill done_with _max =
+    if !ended then Block.empty
+    else begin
+      give_back done_with;
       match pop () with
-      | Batch arr ->
-          cur := arr;
-          pos := 0;
-          next_ev ()
+      | Filled b -> b
       | Ahead_done ->
           ended := true;
           join ();
-          None
+          Block.empty
       | Ahead_failed (e, bt) ->
           ended := true;
           join ();
           Printexc.raise_with_backtrace e bt
+    end
   in
   (* seeking would desynchronize the pipeline, so the wrapper is linear *)
-  { inner with next_ev; seek_to = None; sub_range = None;
-    streamed = 0; finished = false }
+  { inner with fill; seek_to = None; sub_range = None; blk = Block.empty;
+    pos = 0; streamed = 0; finished = false }

@@ -1,12 +1,21 @@
 (** Pull-based event sources: the streaming face of a trace.
 
-    A source yields the exact event sequence of a trace — one {!Event.t}
-    at a time through {!next} — together with the trace's incrementally
-    interned tables (call-chains, function names, type tags) and
-    per-object reference counts.  Consumers written against a source make
-    a single pass with memory bounded by the live-object population
-    rather than the trace length; the {!of_trace} adapter makes every
-    such consumer also work on materialized traces.
+    A source yields the exact event sequence of a trace — a {!Block} of
+    events at a time through {!iter_blocks}, or one {!Event.t} at a time
+    through {!next}, boxed out of the same blocks — together with the
+    trace's incrementally interned tables (call-chains, function names,
+    type tags) and per-object reference counts.  Consumers written
+    against a source make a single pass and never hold the event
+    sequence; the {!of_trace} adapter makes every such consumer also
+    work on materialized traces.
+
+    {b Blocks.}  Binary ([.lpt]) sources fill blocks with {!Binio.fill}
+    straight from the mapped bytes; text, in-memory, generator and
+    decode-ahead sources fill them through one adapter over a per-event
+    cursor.  Either way a decode error is deferred: it is raised when
+    the consumer asks for the failing event, after every event before
+    it, so a consumer's own error on an earlier event of the same block
+    still comes first.
 
     {b Interning contract.}  Any id carried by an already-yielded event
     (chain, tag, object) is resolvable through the source's lookup
@@ -18,8 +27,8 @@
     in-memory sources and becomes [Some] at exhaustion for generator
     sources.
 
-    Exhaustion is observable: the first [None] from {!next} marks the
-    source {!finished}, adds the event total to the
+    Exhaustion is observable: the first time {!next} or {!iter_blocks}
+    finds the stream exhausted marks the source {!finished}, adds the event total to the
     ["trace.events_streamed"] counter and notes the GC's peak heap in
     ["trace.peak_resident_words"] (see {!Lp_obs.Timings}). *)
 
@@ -47,19 +56,32 @@ type t = {
   counters_now : unit -> counters option;
   refs_of : int -> int;
   n_objects_now : unit -> int;
-  next_ev : unit -> Event.t option;
-      (** raw cursor; consumers should call {!next} instead so streaming
-          accounting happens *)
+  fill : Block.t -> int -> Block.t;
+      (** raw block cursor: [fill b max] returns a block holding the next
+          events from slot 0 — [b] refilled in place, or (decode-ahead)
+          another block in exchange for [b] — at most [max] of them, and
+          an empty block at (and after) exhaustion.  Consumers should
+          call {!next} or {!iter_blocks} instead so streaming accounting
+          happens *)
   seek_to : (int -> unit) option;
       (** when seekable: reposition so the next event yielded is the
           given index *)
   sub_range : (first:int -> count:int -> t) option;
+  mutable blk : Block.t;  (** the cursor's current block *)
+  mutable pos : int;  (** the first slot of [blk] not yet yielded *)
   mutable streamed : int;
   mutable finished : bool;
 }
 
 val next : t -> Event.t option
 (** The next event, or [None] at exhaustion (idempotent afterwards). *)
+
+val iter_blocks : (Block.t -> int -> int -> unit) -> t -> unit
+(** [iter_blocks f t] drains [t] a block at a time: [f b lo hi] receives
+    the next events as slots [\[lo, hi)] of [b], which is only valid
+    until [f] returns.  It yields the same events as repeated {!next}
+    (continuing where earlier [next] calls stopped) with the same
+    accounting: {!events_streamed} counts events, not blocks. *)
 
 val iter : (Event.t -> unit) -> t -> unit
 val fold : ('a -> Event.t -> 'a) -> 'a -> t -> 'a
@@ -122,10 +144,11 @@ val of_generator :
 
 val decode_ahead : ?batch:int -> ?slots:int -> t -> t
 (** [decode_ahead inner] moves the decode work of [inner] onto a fresh
-    domain that runs ahead of the consumer, handing batches of [batch]
-    events (default 4096) through a bounded queue of [slots] batches
-    (default 8) — a two-stage pipeline that overlaps decoding with
-    consumption.  Event order, errors and exhaustion semantics are
+    domain that runs ahead of the consumer, handing filled blocks of at
+    most [batch] events (default 4096, capped by the block size) through
+    a bounded queue of [slots] blocks (default 8) — a two-stage pipeline
+    that overlaps decoding with consumption.  Blocks are recycled, not
+    copied.  Event order, errors and exhaustion semantics are
     preserved; errors raised by the producer re-raise at the consumer
     after all earlier events have been delivered.
 

@@ -133,6 +133,46 @@ let backend_replay_equivalence =
             srcs)
         (Lp_allocsim.Registry.names ()))
 
+(* the realloc twin: v3 is the only binary version that carries resizes,
+   decoded sequentially and through the index with chunk boundaries *)
+let realloc_replay_equivalence =
+  QCheck.Test.make ~count:30
+    ~name:"streamed replay equals materialized on realloc traces"
+    (QCheck.make random_realloc_trace_gen)
+    (fun trace ->
+      let v3 = Lp_trace.Binio.to_string_v3 ~chunk_events:5 trace in
+      let text = Lp_trace.Textio.to_string trace in
+      let srcs =
+        [
+          ("of_trace", fun () -> Source.of_trace trace);
+          ("text", fun () -> Source.of_string ~name:"fuzz.txt" text);
+          ("v3", fun () -> Source.of_string ~name:"fuzz.lpt" v3);
+          ( "v3 indexed",
+            fun () ->
+              Source.of_indexed
+                (Lp_trace.Binio.index ~name:"fuzz.lpt"
+                   (Lp_trace.Binio.big_of_string v3)) );
+        ]
+      in
+      List.for_all
+        (fun name ->
+          let backend () = Lp_allocsim.Registry.backend ~arena_config name in
+          let expect =
+            Lp_allocsim.Metrics.to_json (Lp_allocsim.Driver.run trace (backend ()))
+          in
+          List.iter
+            (fun (kind, make) ->
+              let got =
+                Lp_allocsim.Metrics.to_json
+                  (Lp_allocsim.Driver.run_source (make ()) (backend ()))
+              in
+              if got <> expect then
+                QCheck.Test.fail_reportf "%s via %s source:\n%s\nvs\n%s" name
+                  kind got expect)
+            srcs;
+          true)
+        (Lp_allocsim.Registry.names ()))
+
 (* -- the generator source: effect-inverted workloads ------------------------------- *)
 
 let generator_source_matches_trace program () =
@@ -400,6 +440,116 @@ let io_error_context () =
       expect_failure_naming path (fun () ->
           Source.iter ignore (Source.of_file path)))
 
+(* -- satellite: deferred decode errors and event counts ---------------------------- *)
+
+(* objects 0..39 allocated (events 0..39), object 0 freed twice (events
+   40 and 41), then objects 1..39 freed: 81 events, well inside one
+   block *)
+let double_free_event = 41
+
+let double_free_trace () =
+  let funcs = Lp_callchain.Func.create_table () in
+  let main = Lp_callchain.Func.intern funcs "main" in
+  let n = 40 in
+  let alloc obj = Lp_trace.Event.Alloc { obj; size = 16; chain = 0; key = 5; tag = -1 } in
+  let free obj = Lp_trace.Event.Free { obj; size = -1 } in
+  {
+    Lp_trace.Trace.program = "t";
+    input = "i";
+    events =
+      Array.concat
+        [ Array.init n alloc; [| free 0; free 0 |]; Array.init (n - 1) (fun i -> free (i + 1)) ];
+    chains = [| [| main |] |];
+    funcs;
+    n_objects = n;
+    instructions = 1;
+    calls = 1;
+    heap_refs = 1;
+    total_refs = 1;
+    obj_refs = Array.make n 1;
+    tags = [||];
+  }
+
+(* events a source yields before its decode error *)
+let yielded_before_failure src =
+  let n = ref 0 in
+  match
+    while Source.next src <> None do
+      incr n
+    done
+  with
+  | () -> Alcotest.fail "corrupt trace drained without error"
+  | exception Failure _ -> !n
+
+let deferred_decode_errors () =
+  let trace = double_free_trace () in
+  let expect =
+    Printf.sprintf
+      "Driver.run: free of never-allocated or already-freed object 0 at event %d"
+      double_free_event
+  in
+  let check kind make =
+    (* the bytes go bad after the double free but inside its block *)
+    let yielded = yielded_before_failure (make ()) in
+    if yielded <= double_free_event + 1 then
+      Alcotest.failf "%s: corruption at event %d is not after the double free" kind
+        yielded;
+    List.iter
+      (fun decode_ahead ->
+        match
+          Lp_allocsim.Driver.run_source ~decode_ahead (make ())
+            (Lp_allocsim.Registry.backend "bsd")
+        with
+        | _ -> Alcotest.failf "%s: replay of a double free succeeded" kind
+        | exception Failure msg ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, decode_ahead=%b" kind decode_ahead)
+              expect msg)
+      [ false; true ]
+  in
+  let bin = Lp_trace.Binio.to_string trace in
+  let cut = String.sub bin 0 (String.length bin - 12) in
+  check "binary" (fun () -> Source.of_string ~name:"cut.lpt" cut);
+  let text = Lp_trace.Textio.to_string trace in
+  let lines = String.split_on_char '\n' text in
+  let bad =
+    String.concat "\n"
+      (List.map (fun l -> if l = "f 30" then "f thirty" else l) lines)
+  in
+  if bad = text then Alcotest.fail "text corruption did not apply";
+  check "text" (fun () -> Source.of_string ~name:"bad.txt" bad)
+
+let stage_items name =
+  match
+    List.find_opt
+      (fun (s : Lp_obs.Timings.stage) -> s.Lp_obs.Timings.name = name)
+      (Lp_obs.Timings.stages ())
+  with
+  | Some s -> s.Lp_obs.Timings.items
+  | None -> 0
+
+let replay_counts_events () =
+  Lp_obs.Timings.set_enabled true;
+  Fun.protect ~finally:(fun () -> Lp_obs.Timings.set_enabled false) @@ fun () ->
+  (* several blocks' worth of events, so counting blocks would show *)
+  let trace = Lp_workloads.Registry.trace ~program:"perl" ~input:"tiny" () in
+  let n = Array.length trace.Lp_trace.Trace.events in
+  let bin = Lp_trace.Binio.to_string trace in
+  List.iter
+    (fun decode_ahead ->
+      let streamed = counter "trace.events_streamed" in
+      let items = stage_items "replay/first-fit" in
+      ignore
+        (Lp_allocsim.Driver.run_source ~decode_ahead
+           (Source.of_string ~name:"perl.lpt" bin)
+           (Lp_allocsim.Registry.backend "first-fit"));
+      let what = Printf.sprintf " (decode_ahead=%b)" decode_ahead in
+      Alcotest.(check int) ("trace.events_streamed" ^ what) n
+        (counter "trace.events_streamed" - streamed);
+      Alcotest.(check int) ("replay/first-fit items" ^ what) n
+        (stage_items "replay/first-fit" - items))
+    [ false; true ]
+
 (* -- Grow: the shared growable-array substrate -------------------------------------- *)
 
 let grow_basics () =
@@ -420,6 +570,7 @@ let suites =
     ( "stream",
       [
         QCheck_alcotest.to_alcotest backend_replay_equivalence;
+        QCheck_alcotest.to_alcotest realloc_replay_equivalence;
         QCheck_alcotest.to_alcotest train_streamed_equivalence;
         QCheck_alcotest.to_alcotest stats_streamed_equivalence;
         QCheck_alcotest.to_alcotest lifetimes_streamed_equivalence;
@@ -442,5 +593,9 @@ let suites =
         Alcotest.test_case "LPALLOC_DOMAINS env check" `Quick domains_env_check;
         Alcotest.test_case "streaming counters" `Quick streaming_counters;
         Alcotest.test_case "I/O failures name the file" `Quick io_error_context;
+        Alcotest.test_case "decode errors wait behind replay errors" `Quick
+          deferred_decode_errors;
+        Alcotest.test_case "streamed replay counts events, not blocks" `Quick
+          replay_counts_events;
       ] );
   ]

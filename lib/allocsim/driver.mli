@@ -3,8 +3,12 @@
     the program's allocation events and a list of short-lived sites into a
     simulator of the prediction algorithm").
 
-    There is exactly one replay loop; which allocator runs is a
-    {!Backend.t}, usually obtained from the {!Registry} by name.
+    There is exactly one replay kernel, for materialized ({!run_prepared})
+    and streamed ({!run_source}) runs alike: the same step functions
+    replay every event, and one checker validates every event, so both
+    paths raise the same errors and produce the same metrics.  Which
+    allocator runs is a {!Backend.t}, usually obtained from the
+    {!Registry} by name.
 
     Replay is decode-once/replay-many: {!prepare} validates a trace in a
     single pass and the result can be replayed through any number of
@@ -110,7 +114,6 @@ val run_named :
 val run_source :
   ?cache:Cache.t ->
   ?predictor:predictor ->
-  ?decode_ahead:bool ->
   Lp_trace.Source.t ->
   Backend.t ->
   Metrics.t
@@ -121,17 +124,12 @@ val run_source :
     a source without one names larger ids) — not by the number of
     events.  Metrics are byte-identical to [run] on the equivalent
     materialized trace (enforced by the equivalence test suite).
-    Validation stays inline (a stream has no second pass) and is the
-    same except that out-of-range object ids above the final object
-    count cannot be detected mid-stream (the count is only known at
-    exhaustion); such events surface as never-allocated frees or pass
-    through as touches.  A decode error in the source is raised only
-    when the replay reaches the failing event, so an earlier replay
-    error is the one reported.  The source is consumed; a fresh source
-    is needed per replay.
-
-    [decode_ahead] (default false) pipelines the replay: decoding moves
-    to a second domain running ahead of the simulation through
-    {!Lp_trace.Source.decode_ahead}, overlapping the two stages.  The
-    replay per heap stays sequential — metrics are identical either
-    way. *)
+    Validation runs inline (a stream has no second pass) through
+    {!prepare}'s checker, with its messages and event indices, except
+    that out-of-range object ids above the final object count cannot be
+    detected mid-stream (the count is only known at exhaustion): such
+    an alloc is replayed, and a free or realloc of one surfaces as
+    never-allocated, while a touch passes through.  A decode error in
+    the source is raised only when the replay reaches the failing event,
+    so an earlier replay error is the one reported.  The source is
+    consumed; a fresh source is needed per replay. *)

@@ -3,7 +3,7 @@
     Candidate sweeps replay one trace through many backends, and a
     streamed simulation replays one file per job; the per-replay object
     tables ([addr_of]/[size_of]/[ref_cursor]) are the only driver-side
-    allocations that scale with the trace, so both replay loops take
+    allocations that scale with the trace, so the replay kernel takes
     them from a per-domain pool, reset by prefix fill instead of
     reallocated.
     Reuse is observable as the ["replay.scratch_reuses"] counter of

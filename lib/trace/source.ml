@@ -18,7 +18,7 @@ type t = {
   counters_now : unit -> counters option;
   refs_of : int -> int;
   n_objects_now : unit -> int;
-  fill : Block.t -> int -> Block.t;
+  fill : Block.t -> unit;
   seek_to : (int -> unit) option;
       (** reposition so the next event yielded is the given index *)
   sub_range : (first:int -> count:int -> t) option;
@@ -39,9 +39,9 @@ let finish t =
    empty block again once exhausted, so a drained source stays drained
    without a guard here (and a seek can revive it). *)
 let refill t =
-  let b = if Block.slots t.blk = 0 then Block.create () else t.blk in
-  let b = t.fill b (Block.slots b) in
-  t.blk <- b;
+  if Block.slots t.blk = 0 then t.blk <- Block.create ();
+  let b = t.blk in
+  t.fill b;
   t.pos <- 0;
   if b.Block.len > 0 then true
   else begin
@@ -78,14 +78,13 @@ let iter_blocks f t =
    would start at the failing event raises it. *)
 let fill_of_events next_ev =
   let pending = ref None in
-  fun (b : Block.t) max ->
+  fun (b : Block.t) ->
     (match !pending with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());
     b.Block.len <- 0;
-    let stop = min max (Block.slots b) in
     let rec go () =
-      if b.Block.len < stop then
+      if b.Block.len < Block.slots b then
         match next_ev () with
         | Some e ->
             Block.push b e;
@@ -96,8 +95,7 @@ let fill_of_events next_ev =
      with e ->
        let bt = Printexc.get_raw_backtrace () in
        pending := Some (e, bt);
-       if b.Block.len = 0 then Printexc.raise_with_backtrace e bt);
-    b
+       if b.Block.len = 0 then Printexc.raise_with_backtrace e bt)
 
 let iter f t =
   let rec go () =
@@ -229,10 +227,7 @@ let of_decoder d =
           });
     refs_of = (fun obj -> h.Binio.obj_refs.(obj));
     n_objects_now = (fun () -> h.Binio.n_objects);
-    fill =
-      (fun b max ->
-        Binio.fill ~max d b;
-        b);
+    fill = (fun b -> Binio.fill d b);
     seek_to = None;
     sub_range = None;
     blk = Block.empty;
@@ -296,13 +291,12 @@ let rec of_indexed_window (ix : Binio.indexed) ~base ~len =
     refs_of = (fun obj -> h.Binio.obj_refs.(obj));
     n_objects_now = (fun () -> h.Binio.n_objects);
     fill =
-      (fun b max ->
+      (fun b ->
         if !remaining <= 0 then b.Block.len <- 0
         else begin
-          Binio.fill ~max:(min max !remaining) !d b;
+          Binio.fill ~max:!remaining !d b;
           remaining := !remaining - b.Block.len
-        end;
-        b);
+        end);
     seek_to =
       Some
         (fun i ->
@@ -530,105 +524,3 @@ let of_generator ~program ~input produce =
     streamed = 0;
     finished = false;
   }
-
-(* -- decode-ahead pipeline ----------------------------------------------------- *)
-
-type ahead_item =
-  | Filled of Block.t
-  | Ahead_done
-  | Ahead_failed of exn * Printexc.raw_backtrace
-
-(* A second domain fills blocks from [inner]; the returned source yields
-   the identical event sequence.  Blocks circulate: the producer fills a
-   spare block and queues it, and the consumer hands each block it has
-   finished back as a spare, so no events are copied.  Table lookups
-   delegate to [inner], which is safe for ids carried by already-yielded
-   events: the producer appends table entries before enqueuing the
-   block, and the queue's mutex gives the consumer a happens-before on
-   them.  Intended for file-backed sources (generator sources run their
-   producer effect on the pipeline domain, so their view must not be
-   consulted concurrently — wrap those only if lookups happen after
-   exhaustion).  The returned source must be drained (or the error it
-   raises reached): abandoning it mid-stream leaves the pipeline domain
-   blocked on the full queue. *)
-let decode_ahead ?(batch = 4096) ?(slots = 8) (inner : t) : t =
-  if batch < 1 || slots < 1 then
-    invalid_arg "Source.decode_ahead: batch and slots must be positive";
-  let m = Mutex.create () in
-  let nonempty = Condition.create () in
-  let nonfull = Condition.create () in
-  let q : ahead_item Queue.t = Queue.create () in
-  let spares : Block.t list ref = ref [] in
-  let push item =
-    Mutex.lock m;
-    while Queue.length q >= slots do
-      Condition.wait nonfull m
-    done;
-    Queue.push item q;
-    Condition.signal nonempty;
-    Mutex.unlock m
-  in
-  let pop () =
-    Mutex.lock m;
-    while Queue.is_empty q do
-      Condition.wait nonempty m
-    done;
-    let item = Queue.pop q in
-    Condition.signal nonfull;
-    Mutex.unlock m;
-    item
-  in
-  let spare () =
-    Mutex.protect m (fun () ->
-        match !spares with
-        | b :: rest ->
-            spares := rest;
-            b
-        | [] -> Block.create ())
-  in
-  let give_back b =
-    if Block.slots b > 0 then Mutex.protect m (fun () -> spares := b :: !spares)
-  in
-  let producer () =
-    let rec go () =
-      let b = inner.fill (spare ()) batch in
-      if b.Block.len = 0 then push Ahead_done
-      else begin
-        push (Filled b);
-        go ()
-      end
-    in
-    match go () with
-    | () -> ()
-    | exception e ->
-        (* the blocks filled before the failure are already queued *)
-        push (Ahead_failed (e, Printexc.get_raw_backtrace ()))
-  in
-  let dom = Domain.spawn producer in
-  let joined = ref false in
-  let join () =
-    if not !joined then begin
-      joined := true;
-      Domain.join dom
-    end
-  in
-  let ended = ref false in
-  let fill done_with _max =
-    if !ended then Block.empty
-    else begin
-      give_back done_with;
-      match pop () with
-      | Filled b -> b
-      | Ahead_done ->
-          ended := true;
-          join ();
-          Block.empty
-      | Ahead_failed (e, bt) ->
-          ended := true;
-          join ();
-          Printexc.raise_with_backtrace e bt
-    end
-  in
-  (* seeking would desynchronize the pipeline, so the wrapper is linear *)
-  { inner with fill; seek_to = None; sub_range = None; blk = Block.empty;
-    pos = 0; streamed = 0; finished = false }

@@ -10,9 +10,8 @@
     work on materialized traces.
 
     {b Blocks.}  Binary ([.lpt]) sources fill blocks with {!Binio.fill}
-    straight from the mapped bytes; text, in-memory, generator and
-    decode-ahead sources fill them through one adapter over a per-event
-    cursor.  Either way a decode error is deferred: it is raised when
+    straight from the mapped bytes; text, in-memory and generator
+    sources fill them through one adapter over a per-event cursor.  Either way a decode error is deferred: it is raised when
     the consumer asks for the failing event, after every event before
     it, so a consumer's own error on an earlier event of the same block
     still comes first.
@@ -56,11 +55,10 @@ type t = {
   counters_now : unit -> counters option;
   refs_of : int -> int;
   n_objects_now : unit -> int;
-  fill : Block.t -> int -> Block.t;
-      (** raw block cursor: [fill b max] returns a block holding the next
-          events from slot 0 — [b] refilled in place, or (decode-ahead)
-          another block in exchange for [b] — at most [max] of them, and
-          an empty block at (and after) exhaustion.  Consumers should
+  fill : Block.t -> unit;
+      (** raw block cursor: [fill b] refills [b] in place with the next
+          events from slot 0, and leaves it empty at (and after)
+          exhaustion.  Consumers should
           call {!next} or {!iter_blocks} instead so streaming accounting
           happens *)
   seek_to : (int -> unit) option;
@@ -141,20 +139,3 @@ val of_generator :
     array is empty in sink mode); the summary supplies the final
     execution counters.  The producer runs at most once; the source is
     single-shot like every other constructor. *)
-
-val decode_ahead : ?batch:int -> ?slots:int -> t -> t
-(** [decode_ahead inner] moves the decode work of [inner] onto a fresh
-    domain that runs ahead of the consumer, handing filled blocks of at
-    most [batch] events (default 4096, capped by the block size) through
-    a bounded queue of [slots] blocks (default 8) — a two-stage pipeline
-    that overlaps decoding with consumption.  Blocks are recycled, not
-    copied.  Event order, errors and exhaustion semantics are
-    preserved; errors raised by the producer re-raise at the consumer
-    after all earlier events have been delivered.
-
-    The wrapper is not seekable and must be drained to [None] (or to the
-    re-raised error): abandoning it mid-stream leaves the producer
-    domain blocked on the queue.  Table lookups ([chain], [tag], ...)
-    remain safe because the queue's mutex orders the producer's
-    interning writes before the consumer's reads of any delivered
-    event's ids. *)

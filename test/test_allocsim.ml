@@ -368,6 +368,122 @@ let driver_rejects_bad_frees () =
         ~substrings:[ "object 7"; "event 0" ])
     (Lp_allocsim.Registry.names ())
 
+(* The validation contract, one row per [Driver.run:] message.  Each row
+   runs through [prepare], [run] and [run_source] over every source kind
+   whose codec can express its events: the codecs reject negative ids,
+   and the binary decoder also rejects ids at or above the header's
+   object count, so those rows name only the sources that reach the
+   replay.  A stream cannot know the final object count mid-stream: ids
+   above it surface as never-allocated, or pass (alloc, touch). *)
+let validation_cases =
+  let open Lp_trace.Event in
+  let alloc obj = Alloc { obj; size = 16; chain = 0; key = 0; tag = -1 } in
+  let free obj = Free { obj; size = -1 } in
+  let realloc obj =
+    Realloc { obj; old_size = 16; new_size = 32; chain = 0; key = 0; tag = -1 }
+  in
+  let touch obj = Touch { obj; count = 2 } in
+  let err what obj event =
+    Some (Printf.sprintf "Driver.run: %s object %d at event %d" what obj event)
+  in
+  let everywhere e = [ ("of_trace", e); ("text", e); ("binary", e) ] in
+  let never = "free of never-allocated or already-freed" in
+  let realloc_never = "realloc of never-allocated or already-freed" in
+  (* name, events, object count, materialized error, streamed outcomes *)
+  [
+    ( "alloc of negative id", [ alloc (-1) ], 1,
+      err "alloc of out-of-range" (-1) 0,
+      [ ("of_trace", err "alloc of out-of-range" (-1) 0) ] );
+    ( "alloc above the count", [ alloc 5 ], 1,
+      err "alloc of out-of-range" 5 0, [ ("of_trace", None) ] );
+    ( "second alloc of live", [ alloc 0; alloc 1; alloc 0 ], 2,
+      err "second alloc of live" 0 2,
+      everywhere (err "second alloc of live" 0 2) );
+    ( "free of negative id", [ alloc 0; free (-3) ], 1,
+      err "free of out-of-range" (-3) 1,
+      [ ("of_trace", err "free of out-of-range" (-3) 1) ] );
+    ( "free above the count", [ alloc 0; free 7 ], 1,
+      err "free of out-of-range" 7 1,
+      [ ("of_trace", err never 7 1); ("text", err never 7 1) ] );
+    ( "free of never-allocated", [ alloc 1; free 0 ], 2, err never 0 1,
+      everywhere (err never 0 1) );
+    ( "free of already-freed", [ alloc 0; free 0; free 0 ], 1, err never 0 2,
+      everywhere (err never 0 2) );
+    ( "realloc of negative id", [ realloc (-2) ], 1,
+      err "realloc of out-of-range" (-2) 0,
+      [ ("of_trace", err "realloc of out-of-range" (-2) 0) ] );
+    ( "realloc above the count", [ alloc 0; realloc 9 ], 1,
+      err "realloc of out-of-range" 9 1,
+      [ ("of_trace", err realloc_never 9 1); ("text", err realloc_never 9 1) ] );
+    ( "realloc of never-allocated", [ alloc 1; realloc 0 ], 2,
+      err realloc_never 0 1, everywhere (err realloc_never 0 1) );
+    ( "realloc of already-freed", [ alloc 0; free 0; realloc 0 ], 1,
+      err realloc_never 0 2, everywhere (err realloc_never 0 2) );
+    ( "touch of negative id", [ alloc 0; touch (-1) ], 1,
+      err "touch of out-of-range" (-1) 1,
+      [ ("of_trace", err "touch of out-of-range" (-1) 1) ] );
+    ( "touch above the count", [ alloc 0; touch 4 ], 1,
+      err "touch of out-of-range" 4 1,
+      [ ("of_trace", None); ("text", None) ] );
+    (* legal: a touch of a dead object references nothing *)
+    ( "touch after free", [ alloc 0; free 0; touch 0 ], 1, None,
+      everywhere None );
+  ]
+
+let driver_validation_contract () =
+  let outcome f =
+    match f () with _ -> None | exception Failure msg -> Some msg
+  in
+  let check_outcome what expect got =
+    Alcotest.(check (option string)) what expect got
+  in
+  List.iter
+    (fun (name, events, n_objects, expect, streamed) ->
+      let trace = hand_trace events n_objects in
+      check_outcome (name ^ ": prepare") expect
+        (outcome (fun () -> Lp_allocsim.Driver.prepare trace));
+      let source_of = function
+        | "of_trace" -> Lp_trace.Source.of_trace trace
+        | "text" ->
+            Lp_trace.Source.of_string ~name:"case.txt"
+              (Lp_trace.Textio.to_string trace)
+        | _ ->
+            let has_realloc =
+              List.exists
+                (function Lp_trace.Event.Realloc _ -> true | _ -> false)
+                events
+            in
+            Lp_trace.Source.of_string ~name:"case.lpt"
+              (if has_realloc then Lp_trace.Binio.to_string_v3 trace
+               else Lp_trace.Binio.to_string trace)
+      in
+      (* a cache makes touches walk their object; a predicting arena
+         replay tracks births and verdicts *)
+      List.iter
+        (fun (backend, predictor, cache) ->
+          let cache () = if cache then Some (Lp_allocsim.Cache.create ~size_bytes:4096 ()) else None in
+          let what kind = Printf.sprintf "%s: %s via %s" name kind backend in
+          check_outcome (what "run") expect
+            (outcome (fun () ->
+                 Lp_allocsim.Driver.run ?cache:(cache ()) ?predictor trace
+                   (Lp_allocsim.Registry.backend backend)));
+          List.iter
+            (fun (kind, expect) ->
+              check_outcome
+                (what ("run_source " ^ kind))
+                expect
+                (outcome (fun () ->
+                     Lp_allocsim.Driver.run_source ?cache:(cache ()) ?predictor
+                       (source_of kind)
+                       (Lp_allocsim.Registry.backend backend))))
+            streamed)
+        [
+          ("bsd", None, false);
+          ("first-fit", None, true);
+          ("arena", Some (predictor_const true), true);
+        ])
+    validation_cases
+
 let suites =
   [
     ( "first-fit",
@@ -416,5 +532,7 @@ let suites =
           driver_arena_predict_none_equals_first_fit;
         Alcotest.test_case "rejects bad frees with context" `Quick
           driver_rejects_bad_frees;
+        Alcotest.test_case "validation contract, materialized and streamed"
+          `Quick driver_validation_contract;
       ] );
   ]

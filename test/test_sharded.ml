@@ -2,8 +2,8 @@
    byte-identity, seek/sub window determinism, every fold-protocol pass
    (stats, lifetimes, training, lint, audit) agreeing over every source
    kind, random covering partitions and domain counts, the corrupt
-   corpus linted range-parallel, the decode-ahead pipeline, and the
-   codec/capacity/GC regression tests for the bugs fixed alongside. *)
+   corpus linted range-parallel, and the codec/capacity/GC regression
+   tests for the bugs fixed alongside. *)
 
 module Rt = Lp_ialloc.Runtime
 module B = Lp_trace.Binio
@@ -571,61 +571,6 @@ let lint_sharded_corpus_equivalence () =
         [ 1; 2 ])
     Test_stream.corpus_files
 
-(* -- decode-ahead: identical stream, counters and failures -------------------------- *)
-
-let decode_ahead_equivalence =
-  QCheck.Test.make ~count:20
-    ~name:"decode_ahead yields the identical stream from another domain"
-    (QCheck.make Test_stream.random_trace_gen)
-    (fun trace ->
-      List.for_all
-        (fun (kind, make) ->
-          let plain = make () in
-          let expect = events plain in
-          (* a small batch/slot budget forces real producer/consumer
-             hand-offs even on short traces *)
-          let piped = Source.decode_ahead ~batch:16 ~slots:2 (make ()) in
-          if events piped <> expect then
-            QCheck.Test.fail_reportf "decode_ahead via %s differs" kind;
-          Source.counters piped = Source.counters plain
-          && Source.n_objects piped = Source.n_objects plain)
-        (Test_stream.sources_of trace))
-
-let decode_ahead_failure_propagation () =
-  let trace =
-    QCheck.Gen.generate1 ~rand:(Random.State.make [| 7 |])
-      Test_stream.random_trace_gen
-  in
-  let bin = B.to_string trace in
-  let cut = String.sub bin 0 (String.length bin - 1) in
-  let msg_of src =
-    match events src with
-    | _ -> Alcotest.fail "truncated trace drained without error"
-    | exception Failure m -> m
-  in
-  let expect = msg_of (Source.of_string ~name:"cut.lpt" cut) in
-  let got =
-    msg_of (Source.decode_ahead (Source.of_string ~name:"cut.lpt" cut))
-  in
-  Alcotest.(check string) "same failure through the pipeline" expect got
-
-let decode_ahead_driver_equivalence () =
-  let trace = Lp_workloads.Registry.trace ~program:"gawk" ~input:"tiny" () in
-  let arena_config = Lifetime.Config.arena_config Lifetime.Config.default in
-  List.iter
-    (fun name ->
-      let backend () = Lp_allocsim.Registry.backend ~arena_config name in
-      let expect =
-        Lp_allocsim.Metrics.to_json (Lp_allocsim.Driver.run trace (backend ()))
-      in
-      let got =
-        Lp_allocsim.Metrics.to_json
-          (Lp_allocsim.Driver.run_source ~decode_ahead:true
-             (Source.of_trace trace) (backend ()))
-      in
-      Alcotest.(check string) (name ^ " via decode_ahead") expect got)
-    [ "first-fit"; "bsd" ]
-
 let suites =
   [
     ( "sharded",
@@ -644,11 +589,6 @@ let suites =
           empty_trace_edge;
         Alcotest.test_case "corrupt corpus lints range-parallel identically"
           `Quick lint_sharded_corpus_equivalence;
-        QCheck_alcotest.to_alcotest decode_ahead_equivalence;
-        Alcotest.test_case "decode_ahead propagates decode failures" `Quick
-          decode_ahead_failure_propagation;
-        Alcotest.test_case "decode_ahead replay metrics are identical" `Quick
-          decode_ahead_driver_equivalence;
       ] );
     ( "sharded-satellites",
       [

@@ -494,18 +494,11 @@ let deferred_decode_errors () =
     if yielded <= double_free_event + 1 then
       Alcotest.failf "%s: corruption at event %d is not after the double free" kind
         yielded;
-    List.iter
-      (fun decode_ahead ->
-        match
-          Lp_allocsim.Driver.run_source ~decode_ahead (make ())
-            (Lp_allocsim.Registry.backend "bsd")
-        with
-        | _ -> Alcotest.failf "%s: replay of a double free succeeded" kind
-        | exception Failure msg ->
-            Alcotest.(check string)
-              (Printf.sprintf "%s, decode_ahead=%b" kind decode_ahead)
-              expect msg)
-      [ false; true ]
+    match
+      Lp_allocsim.Driver.run_source (make ()) (Lp_allocsim.Registry.backend "bsd")
+    with
+    | _ -> Alcotest.failf "%s: replay of a double free succeeded" kind
+    | exception Failure msg -> Alcotest.(check string) kind expect msg
   in
   let bin = Lp_trace.Binio.to_string trace in
   let cut = String.sub bin 0 (String.length bin - 12) in
@@ -535,20 +528,16 @@ let replay_counts_events () =
   let trace = Lp_workloads.Registry.trace ~program:"perl" ~input:"tiny" () in
   let n = Array.length trace.Lp_trace.Trace.events in
   let bin = Lp_trace.Binio.to_string trace in
-  List.iter
-    (fun decode_ahead ->
-      let streamed = counter "trace.events_streamed" in
-      let items = stage_items "replay/first-fit" in
-      ignore
-        (Lp_allocsim.Driver.run_source ~decode_ahead
-           (Source.of_string ~name:"perl.lpt" bin)
-           (Lp_allocsim.Registry.backend "first-fit"));
-      let what = Printf.sprintf " (decode_ahead=%b)" decode_ahead in
-      Alcotest.(check int) ("trace.events_streamed" ^ what) n
-        (counter "trace.events_streamed" - streamed);
-      Alcotest.(check int) ("replay/first-fit items" ^ what) n
-        (stage_items "replay/first-fit" - items))
-    [ false; true ]
+  let streamed = counter "trace.events_streamed" in
+  let items = stage_items "replay/first-fit" in
+  ignore
+    (Lp_allocsim.Driver.run_source
+       (Source.of_string ~name:"perl.lpt" bin)
+       (Lp_allocsim.Registry.backend "first-fit"));
+  Alcotest.(check int) "trace.events_streamed" n
+    (counter "trace.events_streamed" - streamed);
+  Alcotest.(check int) "replay/first-fit items" n
+    (stage_items "replay/first-fit" - items)
 
 (* -- Grow: the shared growable-array substrate -------------------------------------- *)
 

@@ -210,13 +210,71 @@ let online_snapshot_source src =
   in
   O.snapshot inst
 
+(* more distinct (chain, size) sites than the 4,096 slots a site table
+   starts with, so the online oracle's and the predictor's tables grow
+   mid-replay.  Two rounds visit every site, so sites interned before a
+   growth are looked up again after it; which objects are held to the
+   end shifts between rounds, so some sites see both outcomes. *)
+let many_site_trace ?(n_sites = 5000) () =
+  let rt = Rt.create ~program:"oracle" ~input:"many" () in
+  let main = Rt.func rt "main" in
+  let left = Rt.func rt "left" and right = Rt.func rt "right" in
+  Rt.enter rt main;
+  let held = ref [] in
+  for round = 0 to 1 do
+    for i = 0 to n_sites - 1 do
+      Rt.in_frame rt (if i land 1 = 0 then left else right) (fun () ->
+          let h = Rt.alloc rt ~size:(16 + i) in
+          if (i + round) mod 3 = 0 then held := h :: !held else Rt.free rt h)
+    done
+  done;
+  List.iter (Rt.free rt) !held;
+  Rt.leave rt;
+  Rt.finish rt
+
 let convergence_unit () =
-  let trace = two_site_trace () in
-  let offline = offline_snapshot trace in
-  Alcotest.(check bool) "offline set nonempty" true (offline <> []);
-  Alcotest.(check (list string))
-    "materialized online converges" offline
-    (online_snapshot_materialized trace)
+  List.iter
+    (fun (name, trace) ->
+      let offline = offline_snapshot trace in
+      Alcotest.(check bool) (name ^ ": offline set nonempty") true (offline <> []);
+      Alcotest.(check (list string))
+        (name ^ ": materialized online converges") offline
+        (online_snapshot_materialized trace);
+      Alcotest.(check (list string))
+        (name ^ ": streamed online converges") offline
+        (online_snapshot_source (Lp_trace.Source.of_trace trace)))
+    [ ("two sites", two_site_trace ()); ("5000 sites", many_site_trace ()) ]
+
+(* The pooled predictor memo on one domain: a many-site trace grows it,
+   then a small trace resets it; every lookup, first (miss) and second
+   (hit), must equal the predictor's own site test. *)
+let pooled_memo_grows_and_resets () =
+  let check_trace name (trace : Lp_trace.Trace.t) =
+    let p =
+      Lifetime.Predictor.build ~config ~funcs:trace.funcs
+        (Lifetime.Train.collect ~config trace)
+    in
+    let lookup = Lifetime.Predictor.for_trace_pooled p trace in
+    let sites = Hashtbl.create 64 in
+    Lp_trace.Trace.iter_allocs trace (fun ~obj ~size ~chain ~key ~tag:_ ->
+        Hashtbl.replace sites (chain, size) ();
+        let want =
+          Lifetime.Predictor.predicts_site p trace.funcs
+            (Lp_callchain.Site.make config.policy
+               ~raw_chain:(Lp_trace.Trace.chain_of_alloc trace chain)
+               ~key ~size)
+        in
+        for probe = 1 to 2 do
+          if lookup ~obj ~size ~chain ~key <> want then
+            Alcotest.failf "%s: probe %d of (chain %d, size %d) gives %b" name
+              probe chain size (not want)
+        done);
+    Hashtbl.length sites
+  in
+  Alcotest.(check bool) "memo grows" true
+    (check_trace "many" (many_site_trace ()) > 4096);
+  Alcotest.(check bool) "small trace after reset" true
+    (check_trace "small" (two_site_trace ()) < 10)
 
 let convergence_property =
   QCheck.Test.make ~count:25
@@ -291,6 +349,8 @@ let suites =
         Alcotest.test_case "online converges to offline (unit)" `Quick
           convergence_unit;
         QCheck_alcotest.to_alcotest convergence_property;
+        Alcotest.test_case "pooled predictor memo grows and resets" `Quick
+          pooled_memo_grows_and_resets;
         Alcotest.test_case "no state leak between replays" `Quick
           no_leak_between_replays;
         Alcotest.test_case "online domain determinism" `Quick domain_determinism;

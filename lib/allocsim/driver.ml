@@ -110,8 +110,6 @@ let prepare (trace : Lp_trace.Trace.t) : prepared =
   end;
   { trace }
 
-let trace_of_prepared (p : prepared) = p.trace
-
 (* -- the replay kernel --------------------------------------------------------- *)
 
 (* What one replay walks: a prepared trace's events, or a stream's

@@ -54,9 +54,6 @@ val prepare : Lp_trace.Trace.t -> prepared
     ["replay.validations"] counter of {!Lp_obs.Timings} and records a
     ["prepare"] stage when timings are enabled. *)
 
-val trace_of_prepared : prepared -> Lp_trace.Trace.t
-(** The underlying trace (shared, not copied). *)
-
 val run_prepared :
   ?cache:Cache.t -> ?predictor:predictor -> prepared -> Backend.t -> Metrics.t
 (** Replays every event in order through a fresh instance of the backend,

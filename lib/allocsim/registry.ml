@@ -42,18 +42,11 @@ let canonical_name name = (find name).name
    default builds the very same backend as the plain name (the qcheck
    equivalence property holds them byte-identical). *)
 
-type spec_param = {
-  key : string;
-  grammar : string;  (* value shape, e.g. "<bytes>" *)
-  param_doc : string;
-  default : string;
-}
-
 let spec_params_of = function
   | "first-fit" | "best-fit" ->
       [
         {
-          key = "sbrk";
+          Spec.key = "sbrk";
           grammar = "<bytes>";
           param_doc = "simulated sbrk granularity: positive multiple of 8";
           default = "8192";
@@ -62,7 +55,7 @@ let spec_params_of = function
   | "segfit" ->
       [
         {
-          key = "slab";
+          Spec.key = "slab";
           grammar = "<n>+<n>+...";
           param_doc =
             "slab cell-size ladder: strictly ascending multiples of 16 in \
@@ -73,7 +66,7 @@ let spec_params_of = function
   | "arena" ->
       [
         {
-          key = "n";
+          Spec.key = "n";
           grammar = "<count>";
           param_doc = "number of arenas, in [1, 4096]";
           default = "16";
@@ -95,30 +88,22 @@ let spec_params_of = function
       ]
   | _ -> []
 
-let spec_error spec fmt =
-  Printf.ksprintf (fun msg -> Error (Printf.sprintf "%s (in spec %S)" msg spec)) fmt
-
 let ( let* ) = Result.bind
-
-let int_value spec ~key v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> spec_error spec "parameter %s: %S is not an integer" key v
 
 let parse_slab spec v =
   let* cells =
     List.fold_left
       (fun acc part ->
         let* acc = acc in
-        let* n = int_value spec ~key:"slab" part in
+        let* n = Spec.int_value spec ~key:"slab" part in
         Ok (n :: acc))
       (Ok [])
       (String.split_on_char '+' v)
   in
   let cells = Array.of_list (List.rev cells) in
-  if Array.length cells = 0 then spec_error spec "parameter slab: empty ladder"
+  if Array.length cells = 0 then Spec.error spec "parameter slab: empty ladder"
   else if Array.length cells > 128 then
-    spec_error spec "parameter slab: %d classes (at most 128)" (Array.length cells)
+    Spec.error spec "parameter slab: %d classes (at most 128)" (Array.length cells)
   else
     let bad = ref None in
     Array.iteri
@@ -132,7 +117,7 @@ let parse_slab spec v =
             bad := Some (Printf.sprintf "classes not strictly ascending at %d" c))
       cells;
     match !bad with
-    | Some msg -> spec_error spec "parameter slab: %s" msg
+    | Some msg -> Spec.error spec "parameter slab: %s" msg
     | None -> Ok cells
 
 (* Split [name:k=v:...]; every parameter key must belong to the backend's
@@ -149,28 +134,9 @@ let parse_spec spec =
               (Printf.sprintf "unknown allocator backend %S (known: %s)" name
                  (String.concat ", " (names ())))
       in
-      let params = spec_params_of entry.name in
       let* kvs =
-        List.fold_left
-          (fun acc seg ->
-            let* acc = acc in
-            match String.index_opt seg '=' with
-            | None ->
-                spec_error spec "bad parameter %S: expected key=value" seg
-            | Some i ->
-                let key = String.sub seg 0 i in
-                let value = String.sub seg (i + 1) (String.length seg - i - 1) in
-                if not (List.exists (fun p -> p.key = key) params) then
-                  if params = [] then
-                    spec_error spec "backend %s takes no parameters" entry.name
-                  else
-                    spec_error spec "unknown parameter %S for %s (valid: %s)"
-                      key entry.name
-                      (String.concat ", " (List.map (fun p -> p.key) params))
-                else if List.mem_assoc key acc then
-                  spec_error spec "duplicate parameter %S" key
-                else Ok (acc @ [ (key, value) ]))
-          (Ok []) segments
+        Spec.params spec ~what:"backend" ~name:entry.name
+          (spec_params_of entry.name) segments
       in
       Ok (entry, kvs)
 
@@ -183,13 +149,10 @@ let backend_of_spec ?arena_config spec =
   match entry.name with
   | "first-fit" | "best-fit" ->
       let* sbrk_chunk =
-        match List.assoc_opt "sbrk" kvs with
-        | None -> Ok None
-        | Some v ->
-            let* n = int_value spec ~key:"sbrk" v in
+        Spec.int_param spec kvs "sbrk" (fun n ->
             if n <= 0 || n mod 8 <> 0 then
-              spec_error spec "parameter sbrk: %d is not a positive multiple of 8" n
-            else Ok (Some n)
+              Some (Printf.sprintf "%d is not a positive multiple of 8" n)
+            else None)
       in
       let policy =
         if entry.name = "best-fit" then First_fit.Best else First_fit.First
@@ -208,36 +171,24 @@ let backend_of_spec ?arena_config spec =
       let base_config =
         match arena_config with Some c -> c | None -> Arena.default_config
       in
-      let* n_arenas =
-        match List.assoc_opt "n" kvs with
-        | None -> Ok base_config.Arena.n_arenas
-        | Some v ->
-            let* n = int_value spec ~key:"n" v in
-            if n < 1 || n > 4096 then
-              spec_error spec "parameter n: %d outside [1, 4096]" n
-            else Ok n
-      in
-      let* arena_size =
-        match List.assoc_opt "chunk" kvs with
-        | None -> Ok base_config.Arena.arena_size
-        | Some v ->
-            let* n = int_value spec ~key:"chunk" v in
-            if n < 64 || n > 1048576 then
-              spec_error spec "parameter chunk: %d outside [64, 1048576]" n
-            else Ok n
-      in
+      let* n_arenas = Spec.int_param spec kvs "n" (Spec.within 1 4096) in
+      let* arena_size = Spec.int_param spec kvs "chunk" (Spec.within 64 1048576) in
       let* fallback =
         match List.assoc_opt "fallback" kvs with
         | None -> Ok None
         | Some v -> (
             match find_opt v with
             | None ->
-                spec_error spec "parameter fallback: unknown backend %S (known: %s)"
+                Spec.error spec "parameter fallback: unknown backend %S (known: %s)"
                   v
                   (String.concat ", " (names ()))
             | Some e when e.name = "arena" ->
-                spec_error spec "parameter fallback: must not be arena"
+                Spec.error spec "parameter fallback: must not be arena"
             | Some e -> Ok (Some (e.make ())))
+      in
+      let n_arenas = Option.value n_arenas ~default:base_config.Arena.n_arenas in
+      let arena_size =
+        Option.value arena_size ~default:base_config.Arena.arena_size
       in
       Ok (Arena.backend ~config:{ Arena.n_arenas; arena_size } ?fallback ())
   | _ -> Ok (entry.make ?arena_config ())
@@ -250,49 +201,15 @@ let canonical_spec spec =
   let* entry, kvs = parse_spec spec in
   (* surface value errors exactly as backend_of_spec would *)
   let* _ = backend_of_spec spec in
-  let params = spec_params_of entry.name in
-  let kept =
-    List.filter_map
-      (fun p ->
-        match List.assoc_opt p.key kvs with
-        | None -> None
-        | Some v ->
-            (* normalize integer values; slab ladders are already canonical *)
-            let v =
-              match int_of_string_opt v with
-              | Some n -> string_of_int n
-              | None -> v
-            in
-            let v =
-              if p.key = "fallback" then canonical_name v else v
-            in
-            if v = p.default then None else Some (Printf.sprintf "%s=%s" p.key v))
-      params
-  in
-  Ok (String.concat ":" (entry.name :: kept))
+  Ok
+    (Spec.canonical entry.name (spec_params_of entry.name) kvs
+       ~value:(fun key v -> if key = "fallback" then canonical_name v else v))
 
 let is_spec s = String.contains s ':'
 
 let grammar_markdown () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "| backend | parameter | value | default | meaning |\n\
-     |---|---|---|---|---|\n";
-  List.iter
-    (fun e ->
-      match spec_params_of e.name with
-      | [] ->
-          Buffer.add_string buf
-            (Printf.sprintf "| `%s` | — | — | — | takes no parameters |\n" e.name)
-      | params ->
-          List.iter
-            (fun p ->
-              Buffer.add_string buf
-                (Printf.sprintf "| `%s` | `%s` | `%s` | `%s` | %s |\n" e.name
-                   p.key p.grammar p.default p.param_doc))
-            params)
-    !entries;
-  Buffer.contents buf
+  Spec.markdown "backend"
+    (List.map (fun e -> (e.name, spec_params_of e.name, "takes no parameters")) !entries)
 
 (* -- the built-in backends --------------------------------------------------------- *)
 

@@ -20,7 +20,6 @@ let make policy ~(raw_chain : Chain.t) ~key ~size =
   in
   { chain; size; hash = compute_hash chain size }
 
-let with_size t size = { t with size; hash = compute_hash t.chain size }
 
 let equal a b = a.size = b.size && a.hash = b.hash && Chain.equal a.chain b.chain
 

@@ -27,10 +27,6 @@ val make : policy -> raw_chain:Chain.t -> key:int -> size:int -> t
     [size] bytes whose raw stack snapshot was [raw_chain] and whose
     encryption key was [key]. *)
 
-val with_size : t -> int -> t
-(** [with_size t size] is [t] re-keyed with [size] (used for size rounding
-    when mapping sites across runs). *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

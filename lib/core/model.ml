@@ -193,5 +193,3 @@ let find_key ix key = Portable.Table.find_opt ix key
 
 let site_policy t = Lp_callchain.Site.policy_of_string t.policy
 
-let n_predicted t =
-  List.length (List.filter (fun e -> e.predicted) t.entries)

@@ -100,5 +100,3 @@ val site_policy : t -> Lp_callchain.Site.policy option
     ({!Lp_callchain.Site.policy_of_string}); [None] when the file names
     an unknown policy. *)
 
-val n_predicted : t -> int
-(** Entries accepted into the predictor. *)

@@ -47,27 +47,19 @@ let online ?(window = default_window) ?(promote = default_promote)
     ?(demote = default_demote) ?threshold config =
   Online { params = { window; promote; demote; threshold }; config }
 
-let is_online = function Online _ -> true | Static _ -> false
-
 (* -- spec grammar -----------------------------------------------------------------
 
    [static] or [online:window=N:promote=K:demote=K:threshold=B] — the
-   same shape as the allocator-backend specs of {!Lp_allocsim.Registry}
-   (':' between parameters, every error one line, never raising), except
-   ',' is accepted as a separator too so an oracle spec can ride inside a
-   comma-free CLI position. *)
+   {!Lp_allocsim.Spec} grammar the allocator-backend specs use, except
+   ',' is accepted as a separator too so an oracle spec can ride inside
+   a comma-free CLI position. *)
 
-type spec_param = {
-  key : string;
-  grammar : string;
-  param_doc : string;
-  default : string;
-}
+module Spec = Lp_allocsim.Spec
 
 let online_spec_params =
   [
     {
-      key = "window";
+      Spec.key = "window";
       grammar = "<n>";
       param_doc =
         "sliding outcome window per site, in [0, 65536]; 0 keeps every \
@@ -101,132 +93,67 @@ let online_spec_params =
 
 let oracle_names = [ "static"; "online" ]
 
-let spec_error spec fmt =
-  Printf.ksprintf
-    (fun msg -> Error (Printf.sprintf "%s (in spec %S)" msg spec))
-    fmt
-
 let ( let* ) = Result.bind
-
-let int_value spec ~key v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> spec_error spec "parameter %s: %S is not an integer" key v
 
 (* Split on ':' and ',' alike; the first segment names the oracle. *)
 let segments_of spec =
   String.split_on_char ':' spec |> List.concat_map (String.split_on_char ',')
 
-let parse_params spec segments =
-  List.fold_left
-    (fun acc seg ->
-      let* acc = acc in
-      match String.index_opt seg '=' with
-      | None -> spec_error spec "bad parameter %S: expected key=value" seg
-      | Some i ->
-          let key = String.sub seg 0 i in
-          let value = String.sub seg (i + 1) (String.length seg - i - 1) in
-          if not (List.exists (fun p -> p.key = key) online_spec_params) then
-            spec_error spec "unknown parameter %S for online (valid: %s)" key
-              (String.concat ", " (List.map (fun p -> p.key) online_spec_params))
-          else if List.mem_assoc key acc then
-            spec_error spec "duplicate parameter %S" key
-          else Ok (acc @ [ (key, value) ]))
-    (Ok []) segments
-
 let online_of_kvs spec kvs =
-  let* window =
-    match List.assoc_opt "window" kvs with
-    | None -> Ok default_window
-    | Some v ->
-        let* n = int_value spec ~key:"window" v in
-        if n < 0 || n > 65536 then
-          spec_error spec "parameter window: %d outside [0, 65536]" n
-        else Ok n
-  in
+  let* window = Spec.int_param spec kvs "window" (Spec.within 0 65536) in
+  let window = Option.value window ~default:default_window in
   let* promote =
-    match List.assoc_opt "promote" kvs with
-    | None -> Ok default_promote
-    | Some v ->
-        let* n = int_value spec ~key:"promote" v in
-        if n < 1 then spec_error spec "parameter promote: %d is not positive" n
-        else if window > 0 && n > window then
-          spec_error spec "parameter promote: %d exceeds window %d" n window
-        else Ok n
+    Spec.int_param spec kvs "promote" (fun n ->
+        match Spec.positive n with
+        | None when window > 0 && n > window ->
+            Some (Printf.sprintf "%d exceeds window %d" n window)
+        | check -> check)
   in
-  let* demote =
-    match List.assoc_opt "demote" kvs with
-    | None -> Ok default_demote
-    | Some v ->
-        let* n = int_value spec ~key:"demote" v in
-        if n < 1 then spec_error spec "parameter demote: %d is not positive" n
-        else Ok n
-  in
-  let* threshold =
-    match List.assoc_opt "threshold" kvs with
-    | None -> Ok None
-    | Some v ->
-        let* n = int_value spec ~key:"threshold" v in
-        if n < 1 then
-          spec_error spec "parameter threshold: %d is not positive" n
-        else Ok (Some n)
-  in
-  Ok { window; promote; demote; threshold }
+  let* demote = Spec.int_param spec kvs "demote" Spec.positive in
+  let* threshold = Spec.int_param spec kvs "threshold" Spec.positive in
+  Ok
+    {
+      window;
+      promote = Option.value promote ~default:default_promote;
+      demote = Option.value demote ~default:default_demote;
+      threshold;
+    }
 
-let spec_of_string spec =
+(* the name and the validated key=value pairs *)
+let parse spec =
   match segments_of spec with
   | [] | [ "" ] -> Error (Printf.sprintf "empty oracle spec %S" spec)
   | "static" :: segments ->
-      if segments = [] then Ok Spec_static
-      else spec_error spec "oracle static takes no parameters"
+      if segments = [] then Ok (Spec_static, [])
+      else Spec.error spec "oracle static takes no parameters"
   | "online" :: segments ->
-      let* kvs = parse_params spec segments in
+      let* kvs =
+        Spec.params spec ~what:"oracle" ~name:"online" online_spec_params
+          segments
+      in
       let* params = online_of_kvs spec kvs in
-      Ok (Spec_online params)
+      Ok (Spec_online params, kvs)
   | name :: _ ->
       Error
         (Printf.sprintf "unknown oracle %S (known: %s)" name
            (String.concat ", " oracle_names))
 
-(* Alias-free already; parameters re-listed in grammar order with
-   defaults dropped, so a spec that only restates defaults collapses to
-   the plain name. *)
+let spec_of_string spec = Result.map fst (parse spec)
+
 let canonical_spec spec =
-  let* parsed = spec_of_string spec in
+  let* parsed, kvs = parse spec in
   match parsed with
   | Spec_static -> Ok "static"
-  | Spec_online p ->
-      let kept =
-        List.filter_map
-          (fun (key, value) ->
-            match value with
-            | None -> None
-            | Some v -> Some (Printf.sprintf "%s=%d" key v))
-          [
-            ("window", if p.window = default_window then None else Some p.window);
-            ( "promote",
-              if p.promote = default_promote then None else Some p.promote );
-            ("demote", if p.demote = default_demote then None else Some p.demote);
-            ("threshold", p.threshold);
-          ]
-      in
-      Ok (String.concat ":" ("online" :: kept))
+  | Spec_online _ -> Ok (Spec.canonical "online" online_spec_params kvs)
 
 let grammar_markdown () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "| oracle | parameter | value | default | meaning |\n\
-     |---|---|---|---|---|\n";
-  Buffer.add_string buf
-    "| `static` | — | — | — | the offline-trained site database; takes no \
-     parameters |\n";
-  List.iter
-    (fun p ->
-      Buffer.add_string buf
-        (Printf.sprintf "| `online` | `%s` | `%s` | `%s` | %s |\n" p.key
-           p.grammar p.default p.param_doc))
-    online_spec_params;
-  Buffer.contents buf
+  Spec.markdown "oracle"
+    [
+      ( "static",
+        [],
+        "the offline-trained site database; takes no parameters" );
+      ("online", online_spec_params, "");
+    ]
 
 let of_spec ~config ?predictor spec =
   match spec with
@@ -262,9 +189,10 @@ let static_snapshot p () =
 (* -- the online trainer ----------------------------------------------------------
 
    Per-site state lives in parallel arrays indexed by a dense site id;
-   the (chain, size) -> id map is the same no-allocation open-addressing
-   probe as {!Predictor}'s memo.  Each outcome updates a bounded window
-   (a byte ring when [window > 0], plain counters when unbounded), a
+   the ids are the (chain, size) pairs' numbers in a {!Lp_trace.Pair_table},
+   the same table {!Predictor}'s memo probes, so they run in first-seen
+   order.  Each outcome updates a bounded window (a byte ring when
+   [window > 0], plain counters when unbounded), a
    consecutive-long-outcome streak, and the promoted flag:
 
      promoted   <- window full enough ([>= promote]) and unanimously short
@@ -275,8 +203,6 @@ let static_snapshot p () =
    of the training trace is exactly the all-short site set {!Train}
    collects — the convergence property the test suite checks. *)
 
-let memo_empty = min_int
-
 type online_state = {
   params : online_params;
   threshold : int;
@@ -284,15 +210,8 @@ type online_state = {
   rounding : int;
   chain_of : int -> Lp_callchain.Chain.t;
   funcs : unit -> Lp_callchain.Func.table;
-  (* (chain, size) -> site id, open addressing, load < 1/2 *)
-  mutable mchains : int array;
-  mutable msizes : int array;
-  mutable mids : int array;
-  mutable mcap : int;
-  mutable mcount : int;
-  (* per-site state, dense ids in first-seen order *)
-  mutable st_chain : int array;
-  mutable st_size : int array;
+  sites : Lp_trace.Pair_table.t;  (* (chain, size) -> site id *)
+  (* per-site state, by site id *)
   mutable st_key : int array;
   mutable st_obs : int array;  (* outcomes ever recorded *)
   mutable st_wobs : int array;  (* outcomes currently in the window *)
@@ -313,13 +232,7 @@ let create_state ~params ~threshold ~(config : Config.t) ~chain_of ~funcs ~hint 
     rounding = config.size_rounding;
     chain_of;
     funcs;
-    mchains = Array.make 4096 memo_empty;
-    msizes = Array.make 4096 0;
-    mids = Array.make 4096 0;
-    mcap = 4096;
-    mcount = 0;
-    st_chain = Array.make 256 0;
-    st_size = Array.make 256 0;
+    sites = Lp_trace.Pair_table.create 2048;
     st_key = Array.make 256 0;
     st_obs = Array.make 256 0;
     st_wobs = Array.make 256 0;
@@ -332,37 +245,6 @@ let create_state ~params ~threshold ~(config : Config.t) ~chain_of ~funcs ~hint 
     obj_site = Lp_trace.Grow.create ~default:(-1) hint;
   }
 
-let slot_for chains sizes mask chain size =
-  let h = ((chain * 0x9E3779B1) lxor (size * 0x85EBCA77)) land mask in
-  let i = ref h in
-  while
-    let c = Array.unsafe_get chains !i in
-    c <> memo_empty && not (c = chain && Array.unsafe_get sizes !i = size)
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let memo_grow st =
-  let cap' = st.mcap * 2 in
-  let chains' = Array.make cap' memo_empty in
-  let sizes' = Array.make cap' 0 in
-  let ids' = Array.make cap' 0 in
-  let mask' = cap' - 1 in
-  for i = 0 to st.mcap - 1 do
-    let c = Array.unsafe_get st.mchains i in
-    if c <> memo_empty then begin
-      let j = slot_for chains' sizes' mask' c (Array.unsafe_get st.msizes i) in
-      chains'.(j) <- c;
-      sizes'.(j) <- Array.unsafe_get st.msizes i;
-      ids'.(j) <- Array.unsafe_get st.mids i
-    end
-  done;
-  st.mcap <- cap';
-  st.mchains <- chains';
-  st.msizes <- sizes';
-  st.mids <- ids'
-
 let grow_int a n =
   let a' = Array.make (2 * Array.length a) 0 in
   Array.blit a 0 a' 0 n;
@@ -370,8 +252,6 @@ let grow_int a n =
 
 let states_grow st =
   let n = st.n_sites in
-  st.st_chain <- grow_int st.st_chain n;
-  st.st_size <- grow_int st.st_size n;
   st.st_key <- grow_int st.st_key n;
   st.st_obs <- grow_int st.st_obs n;
   st.st_wobs <- grow_int st.st_wobs n;
@@ -385,30 +265,15 @@ let states_grow st =
   Array.blit st.st_ring 0 ring' 0 n;
   st.st_ring <- ring'
 
-let new_site st chain size key =
-  if st.n_sites = Array.length st.st_chain then states_grow st;
-  let s = st.n_sites in
-  st.st_chain.(s) <- chain;
-  st.st_size.(s) <- size;
-  st.st_key.(s) <- key;
-  st.n_sites <- s + 1;
+(* a site's state is created when the table first numbers it *)
+let site_id st chain size key =
+  let s = Lp_trace.Pair_table.intern st.sites chain size in
+  if s = st.n_sites then begin
+    if s = Array.length st.st_key then states_grow st;
+    st.st_key.(s) <- key;
+    st.n_sites <- s + 1
+  end;
   s
-
-let rec site_id st chain size key =
-  let i = slot_for st.mchains st.msizes (st.mcap - 1) chain size in
-  if Array.unsafe_get st.mchains i <> memo_empty then Array.unsafe_get st.mids i
-  else if 2 * (st.mcount + 1) > st.mcap then begin
-    memo_grow st;
-    site_id st chain size key
-  end
-  else begin
-    let s = new_site st chain size key in
-    st.mchains.(i) <- chain;
-    st.msizes.(i) <- size;
-    st.mids.(i) <- s;
-    st.mcount <- st.mcount + 1;
-    s
-  end
 
 let record_outcome st s short =
   st.st_obs.(s) <- st.st_obs.(s) + 1;
@@ -474,8 +339,9 @@ let online_snapshot st () =
   let portable s =
     let site =
       Lp_callchain.Site.make st.policy
-        ~raw_chain:(st.chain_of st.st_chain.(s))
-        ~key:st.st_key.(s) ~size:st.st_size.(s)
+        ~raw_chain:(st.chain_of (Lp_trace.Pair_table.chain st.sites s))
+        ~key:st.st_key.(s)
+        ~size:(Lp_trace.Pair_table.size st.sites s)
     in
     match st.policy with
     | Lp_callchain.Site.Encrypted_key ->

@@ -43,8 +43,6 @@ val online :
   ?window:int -> ?promote:int -> ?demote:int -> ?threshold:int -> Config.t -> t
 (** The online adaptive oracle; defaults as {!default_online_params}. *)
 
-val is_online : t -> bool
-
 val spec_of_string : string -> (spec, string) result
 (** Parse [static] or [online:window=N:promote=K:demote=K:threshold=B]
     (',' accepted between parameters too).  Every parameter is optional

@@ -98,88 +98,37 @@ let iter_keys t f = Portable.Table.iter (fun k () -> f k) t.keys
    and memoizes, so the simulation driver's per-allocation test is a
    hash-table probe — mirroring the small site hash table of §5.1.
 
-   The memo is a hand-rolled open-addressing table over parallel int
-   arrays rather than a [Hashtbl] keyed by an [(int * int)] tuple: the
-   replay driver calls this once per allocation, and the tuple key plus
-   the [find_opt] option box cost two minor allocations and a polymorphic
-   hash on every probe.  This probe allocates nothing.
+   The memo numbers the pairs in a {!Lp_trace.Pair_table} and keeps one
+   verdict byte per site id: the probe allocates nothing, where a
+   [Hashtbl] keyed by an [(int * int)] tuple would cost two minor
+   allocations and a polymorphic hash per allocation.  Ids are dense, so
+   a site is already resolved exactly when its id is below [known].
 
-   The table lives in a [memo] record so a candidate sweep can pool it:
-   resetting (one [Array.fill]) is far cheaper than reallocating and
-   re-zeroing fresh arrays per replay. *)
-
-let memo_empty = min_int
+   The memo is a record so a candidate sweep can pool it: clearing the
+   table is far cheaper than reallocating and re-zeroing it per replay. *)
 
 type memo = {
-  mutable chains : int array;
-  mutable sizes : int array;
-  mutable verdicts : Bytes.t;
-  mutable cap : int;  (* power of two *)
-  mutable count : int;
+  sites : Lp_trace.Pair_table.t;
+  mutable verdicts : Bytes.t;  (* by site id *)
+  mutable known : int;
 }
 
 let create_memo () =
-  {
-    chains = Array.make 4096 memo_empty;
-    sizes = Array.make 4096 0;
-    verdicts = Bytes.make 4096 '\000';
-    cap = 4096;
-    count = 0;
-  }
-
-let reset_memo m =
-  (* stale sizes/verdicts are unreachable once every chain slot is empty *)
-  Array.fill m.chains 0 m.cap memo_empty;
-  m.count <- 0
-
-let slot_for chains sizes mask chain size =
-  let h = ((chain * 0x9E3779B1) lxor (size * 0x85EBCA77)) land mask in
-  let i = ref h in
-  while
-    let c = Array.unsafe_get chains !i in
-    c <> memo_empty && not (c = chain && Array.unsafe_get sizes !i = size)
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let memo_grow m =
-  let cap' = m.cap * 2 in
-  let chains' = Array.make cap' memo_empty in
-  let sizes' = Array.make cap' 0 in
-  let verdicts' = Bytes.make cap' '\000' in
-  let mask' = cap' - 1 in
-  for i = 0 to m.cap - 1 do
-    let c = Array.unsafe_get m.chains i in
-    if c <> memo_empty then begin
-      let j = slot_for chains' sizes' mask' c (Array.unsafe_get m.sizes i) in
-      chains'.(j) <- c;
-      sizes'.(j) <- Array.unsafe_get m.sizes i;
-      Bytes.unsafe_set verdicts' j (Bytes.unsafe_get m.verdicts i)
-    end
-  done;
-  m.cap <- cap';
-  m.chains <- chains';
-  m.sizes <- sizes';
-  m.verdicts <- verdicts'
+  { sites = Lp_trace.Pair_table.create 2048; verdicts = Bytes.create 2048; known = 0 }
 
 let for_lookup_in m t ~chain_of ~funcs =
   fun ~obj:_ ~size ~chain ~key ->
-    let i = slot_for m.chains m.sizes (m.cap - 1) chain size in
-    if Array.unsafe_get m.chains i <> memo_empty then
-      Bytes.unsafe_get m.verdicts i = '\001'
+    let id = Lp_trace.Pair_table.intern m.sites chain size in
+    if id < m.known then Bytes.unsafe_get m.verdicts id = '\001'
     else begin
       let site =
         Lp_callchain.Site.make t.policy ~raw_chain:(chain_of chain) ~key ~size
       in
       let hit = predicts_site t (funcs ()) site in
-      (* keep the load factor below 1/2 so probe chains stay short *)
-      if 2 * (m.count + 1) > m.cap then memo_grow m;
-      let i = slot_for m.chains m.sizes (m.cap - 1) chain size in
-      m.chains.(i) <- chain;
-      m.sizes.(i) <- size;
-      Bytes.unsafe_set m.verdicts i (if hit then '\001' else '\000');
-      m.count <- m.count + 1;
+      if id = Bytes.length m.verdicts then
+        m.verdicts <- Bytes.extend m.verdicts 0 id;
+      Bytes.unsafe_set m.verdicts id (if hit then '\001' else '\000');
+      m.known <- id + 1;
       hit
     end
 
@@ -193,14 +142,15 @@ let for_trace t (trace : Lp_trace.Trace.t) =
 let for_source t (src : Lp_trace.Source.t) =
   for_lookup t ~chain_of:src.Lp_trace.Source.chain ~funcs:src.Lp_trace.Source.funcs
 
-(* one pooled memo per domain; [for_trace_pooled] resets it instead of
+(* one pooled memo per domain; [for_trace_pooled] clears it instead of
    allocating, so a candidate sweep's per-replay predictor state is O(1)
    allocation after warm-up *)
 let memo_key = Domain.DLS.new_key create_memo
 
 let for_trace_pooled t (trace : Lp_trace.Trace.t) =
   let m = Domain.DLS.get memo_key in
-  reset_memo m;
+  Lp_trace.Pair_table.clear m.sites;
+  m.known <- 0;
   Lp_obs.Timings.count "predictor.memo_reuses" 1;
   for_lookup_in m t
     ~chain_of:(Lp_trace.Trace.chain_of_alloc trace)

@@ -48,21 +48,6 @@ val predicts_site : t -> Lp_callchain.Func.table -> Lp_callchain.Site.t -> bool
 val predicts_key : t -> Portable.t -> bool
 val iter_keys : t -> (Portable.t -> unit) -> unit
 
-val for_lookup :
-  t ->
-  chain_of:(int -> Lp_callchain.Chain.t) ->
-  funcs:(unit -> Lp_callchain.Func.table) ->
-  obj:int ->
-  size:int ->
-  chain:int ->
-  key:int ->
-  bool
-(** A memoizing lookup over any chain-id resolver: each interned
-    (chain, size) pair is resolved once, so the simulation driver's
-    per-allocation test is a hash-table probe — mirroring the small site
-    hash table of §5.1.  [funcs] is a thunk because a generator source's
-    table only exists once streaming has started. *)
-
 val for_trace :
   t ->
   Lp_trace.Trace.t ->
@@ -71,7 +56,10 @@ val for_trace :
   chain:int ->
   key:int ->
   bool
-(** {!for_lookup} over a materialized trace's interned tables. *)
+(** A memoizing lookup over a materialized trace's interned tables: each
+    (chain, size) pair is resolved once, so the simulation driver's
+    per-allocation test is a hash-table probe — mirroring the small site
+    hash table of §5.1. *)
 
 val for_source :
   t ->
@@ -81,7 +69,7 @@ val for_source :
   chain:int ->
   key:int ->
   bool
-(** {!for_lookup} over a streaming source's incremental tables.  Sound
+(** {!for_trace} over a streaming source's incremental tables.  Sound
     mid-stream by the source interning contract: any chain id an event
     carries is already resolvable. *)
 

@@ -890,7 +890,6 @@ let decoder ?name (buf : bytes_view) : decoder =
   }
 
 let header d = d.hdr
-let decoder_version d = d.version
 let decoder_funcs d = d.tbl.funcs
 
 let decoder_chain d id =

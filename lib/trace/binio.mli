@@ -199,8 +199,6 @@ val decode_next : decoder -> Event.t option
     with {!fill} on one decoder.
     @raise Failure on malformed input. *)
 
-val decoder_version : decoder -> int
-
 val decoder_funcs : decoder -> Lp_callchain.Func.table
 (** The interned tables as currently known; for a v1/v2 decoder they are
     complete from the start, for a sequential v3 decoder they grow as

@@ -2,10 +2,13 @@
 
     Training and the audit domains attribute every allocation to its
     concrete site — raw chain id × exact size — and number the sites
-    densely in first appearance order.  This table does that with one monomorphic probe
-    per lookup: open addressing over an [int array] of site ids, with
-    the pairs themselves stored per id, so neither a lookup nor a hit
-    allocates, hashes polymorphically or compares structurally.
+    densely in first appearance order; the predictor's memo and the
+    online oracle number the sites they have resolved the same way.
+    This table does that with one monomorphic probe per lookup: open
+    addressing over one [int array] whose slots hold the site id next to
+    its pair, so a probe reads nothing outside that array, and neither a
+    lookup nor a hit allocates, hashes polymorphically or compares
+    structurally.
 
     Any [int] is a valid chain or size: corrupt traces carry negative
     (unresolvable) chain ids, and sizes may exceed 2{^31}. *)
@@ -21,6 +24,10 @@ val length : t -> int
 val intern : t -> int -> int -> int
 (** [intern t chain size] is the pair's id, assigning the next id
     ([length t] before the call) on first sight. *)
+
+val clear : t -> unit
+(** Forget every pair, keeping the capacity: the next {!intern} assigns
+    id [0] again. *)
 
 val chain : t -> int -> int
 (** The chain of site [id]. *)

@@ -141,6 +141,6 @@ let range_source rg =
     else (header t).Binio.n_objects
   in
   let src =
-    Source.sub (source t) ~first:rg.rg_first_event ~count:rg.rg_n_events
+    Source.of_indexed t.ix ~first:rg.rg_first_event ~count:rg.rg_n_events
   in
   { src with Source.n_objects_hint = Some bound }

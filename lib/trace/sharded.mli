@@ -53,7 +53,7 @@ val range : t -> first:int -> count:int -> range
     pre-range state).  @raise Invalid_argument on a bad chunk range. *)
 
 val source : t -> Source.t
-(** Stream the whole trace; seekable ({!Source.seek}/{!Source.sub}). *)
+(** Stream the whole trace. *)
 
 val range_source : range -> Source.t
 (** Stream exactly the range's events (complete tables visible from the

@@ -19,9 +19,6 @@ type t = {
   refs_of : int -> int;
   n_objects_now : unit -> int;
   fill : Block.t -> unit;
-  seek_to : (int -> unit) option;
-      (** reposition so the next event yielded is the given index *)
-  sub_range : (first:int -> count:int -> t) option;
   mutable blk : Block.t;
   mutable pos : int;
   mutable streamed : int;
@@ -37,7 +34,7 @@ let finish t =
 
 (* Fetch the next block; false at exhaustion.  Every cursor answers an
    empty block again once exhausted, so a drained source stays drained
-   without a guard here (and a seek can revive it). *)
+   without a guard here. *)
 let refill t =
   if Block.slots t.blk = 0 then t.blk <- Block.create ();
   let b = t.blk in
@@ -127,35 +124,15 @@ let n_objects t =
     invalid_arg "Source.n_objects: source not yet drained";
   t.n_objects_now ()
 
-let not_seekable what =
-  invalid_arg
-    (Printf.sprintf
-       "Source.%s: source is not seekable (in-memory traces and sharded .lpt \
-        v3 files only)"
-       what)
-
-let seek t i =
-  match t.seek_to with
-  | Some f ->
-      f i;
-      (* what is left of the current block belongs to the old position *)
-      t.pos <- t.blk.Block.len
-  | None -> not_seekable "seek"
-
-let sub t ~first ~count =
-  match t.sub_range with
-  | Some f -> f ~first ~count
-  | None -> not_seekable "sub"
-
 (* -- in-memory trace ----------------------------------------------------------- *)
 
-let rec of_trace_range (tr : Trace.t) ~base ~len =
+let of_trace (tr : Trace.t) =
   let pos = ref 0 in
   {
     program = tr.Trace.program;
     input = tr.Trace.input;
     n_objects_hint = Some tr.Trace.n_objects;
-    n_events_hint = Some len;
+    n_events_hint = Some (Array.length tr.Trace.events);
     funcs = (fun () -> tr.Trace.funcs);
     chain = (fun id -> tr.Trace.chains.(id));
     n_chains = (fun () -> Array.length tr.Trace.chains);
@@ -174,33 +151,17 @@ let rec of_trace_range (tr : Trace.t) ~base ~len =
     n_objects_now = (fun () -> tr.Trace.n_objects);
     fill =
       fill_of_events (fun () ->
-          if !pos >= len then None
+          if !pos >= Array.length tr.Trace.events then None
           else begin
-            let e = tr.Trace.events.(base + !pos) in
+            let e = tr.Trace.events.(!pos) in
             incr pos;
             Some e
           end);
-    seek_to =
-      Some
-        (fun i ->
-          if i < 0 || i > len then
-            invalid_arg (Printf.sprintf "Source.seek: index %d out of range" i);
-          pos := i);
-    sub_range =
-      Some
-        (fun ~first ~count ->
-          if first < 0 || count < 0 || first + count > len then
-            invalid_arg
-              (Printf.sprintf "Source.sub: range %d+%d out of range" first count);
-          of_trace_range tr ~base:(base + first) ~len:count);
     blk = Block.empty;
     pos = 0;
     streamed = 0;
     finished = false;
   }
-
-let of_trace (tr : Trace.t) =
-  of_trace_range tr ~base:0 ~len:(Array.length tr.Trace.events)
 
 (* -- binary decoder ------------------------------------------------------------ *)
 
@@ -228,52 +189,50 @@ let of_decoder d =
     refs_of = (fun obj -> h.Binio.obj_refs.(obj));
     n_objects_now = (fun () -> h.Binio.n_objects);
     fill = (fun b -> Binio.fill d b);
-    seek_to = None;
-    sub_range = None;
     blk = Block.empty;
     pos = 0;
     streamed = 0;
     finished = false;
   }
 
-(* -- seekable index over a sharded (v3) buffer --------------------------------- *)
+(* -- windows over a sharded (v3) index ------------------------------------------ *)
 
-(* The window [base, base+len) of an indexed trace.  Seeking opens a
-   fresh range decoder at the chunk containing the target event and
-   discards into it — at most one chunk's worth of decode per seek. *)
-let rec of_indexed_window (ix : Binio.indexed) ~base ~len =
+(* The window [first, first+count) of an indexed trace, opened with a
+   range decoder at the chunk holding event [first] that discards up to
+   it — at most one chunk's worth of decode. *)
+let of_indexed ?(first = 0) ?count (ix : Binio.indexed) =
   let h = Binio.indexed_header ix in
+  let count = Option.value count ~default:(h.Binio.n_events - first) in
+  if first < 0 || count < 0 || first + count > h.Binio.n_events then
+    invalid_arg
+      (Printf.sprintf "Source.of_indexed: window %d+%d out of range" first count);
   let chunks = Binio.indexed_chunks ix in
   let n_chunks = Array.length chunks in
-  let chunk_of_event i =
-    (* greatest chunk whose first event is <= i *)
+  (* greatest chunk whose first event is <= first *)
+  let c =
     let lo = ref 0 and hi = ref (n_chunks - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if chunks.(mid).Binio.ch_first_event <= i then lo := mid else hi := mid - 1
+      if chunks.(mid).Binio.ch_first_event <= first then lo := mid
+      else hi := mid - 1
     done;
     !lo
   in
-  let open_at i =
-    let c = chunk_of_event i in
-    let d = Binio.range_decoder ix ~first:c ~count:(n_chunks - c) in
-    let skip = ref (i - chunks.(c).Binio.ch_first_event) in
-    if !skip > 0 then begin
-      let b = Block.create () in
-      while !skip > 0 do
-        Binio.fill ~max:!skip d b;
-        skip := if b.Block.len = 0 then 0 else !skip - b.Block.len
-      done
-    end;
-    d
-  in
-  let d = ref (open_at base) in
-  let remaining = ref len in
+  let d = Binio.range_decoder ix ~first:c ~count:(n_chunks - c) in
+  let skip = ref (first - chunks.(c).Binio.ch_first_event) in
+  if !skip > 0 then begin
+    let b = Block.create () in
+    while !skip > 0 do
+      Binio.fill ~max:!skip d b;
+      skip := if b.Block.len = 0 then 0 else !skip - b.Block.len
+    done
+  end;
+  let remaining = ref count in
   {
     program = h.Binio.program;
     input = h.Binio.input;
     n_objects_hint = Some h.Binio.n_objects;
-    n_events_hint = Some len;
+    n_events_hint = Some count;
     funcs = (fun () -> Binio.indexed_funcs ix);
     chain = (fun id -> Binio.indexed_chain ix id);
     n_chains = (fun () -> Binio.indexed_n_chains ix);
@@ -294,32 +253,14 @@ let rec of_indexed_window (ix : Binio.indexed) ~base ~len =
       (fun b ->
         if !remaining <= 0 then b.Block.len <- 0
         else begin
-          Binio.fill ~max:!remaining !d b;
+          Binio.fill ~max:!remaining d b;
           remaining := !remaining - b.Block.len
         end);
-    seek_to =
-      Some
-        (fun i ->
-          if i < 0 || i > len then
-            invalid_arg (Printf.sprintf "Source.seek: index %d out of range" i);
-          d := open_at (base + i);
-          remaining := len - i);
-    sub_range =
-      Some
-        (fun ~first ~count ->
-          if first < 0 || count < 0 || first + count > len then
-            invalid_arg
-              (Printf.sprintf "Source.sub: range %d+%d out of range" first count);
-          of_indexed_window ix ~base:(base + first) ~len:count);
     blk = Block.empty;
     pos = 0;
     streamed = 0;
     finished = false;
   }
-
-let of_indexed ix =
-  of_indexed_window ix ~base:0
-    ~len:(Binio.indexed_header ix).Binio.n_events
 
 (* -- text stream --------------------------------------------------------------- *)
 
@@ -344,8 +285,6 @@ let of_text_stream ?next_ev (s : Textio.stream) =
     refs_of = s.Textio.s_refs;
     n_objects_now = s.Textio.s_n_objects;
     fill = fill_of_events (Option.value next_ev ~default:s.Textio.s_next);
-    seek_to = None;
-    sub_range = None;
     blk = Block.empty;
     pos = 0;
     streamed = 0;
@@ -382,7 +321,7 @@ let of_file path =
          && String.equal (String.init 4 (Bigarray.Array1.get buf)) Binio.magic
     ->
       Lp_obs.Timings.count "trace.bytes_read" (Bigarray.Array1.dim buf);
-      (* a sharded (v3) map gets the seekable face; v1/v2 stream linearly *)
+      (* a sharded (v3) map streams through its index; v1/v2 linearly *)
       if
         Bigarray.Array1.dim buf >= 5
         && Char.code (Bigarray.Array1.get buf 4) = Binio.version_sharded
@@ -517,8 +456,6 @@ let of_generator ~program ~input produce =
     refs_of = (fun obj -> (view ()).Trace.Builder.refs_of obj);
     n_objects_now = (fun () -> (view ()).Trace.Builder.n_objects_so_far ());
     fill = fill_of_events next_ev;
-    seek_to = None;
-    sub_range = None;
     blk = Block.empty;
     pos = 0;
     streamed = 0;

@@ -61,10 +61,6 @@ type t = {
           exhaustion.  Consumers should
           call {!next} or {!iter_blocks} instead so streaming accounting
           happens *)
-  seek_to : (int -> unit) option;
-      (** when seekable: reposition so the next event yielded is the
-          given index *)
-  sub_range : (first:int -> count:int -> t) option;
   mutable blk : Block.t;  (** the cursor's current block *)
   mutable pos : int;  (** the first slot of [blk] not yet yielded *)
   mutable streamed : int;
@@ -94,24 +90,15 @@ val counters : t -> counters
 val n_objects : t -> int
 (** Final object count.  @raise Invalid_argument before exhaustion. *)
 
-val seek : t -> int -> unit
-(** [seek t i] repositions so the next event yielded is event [i] of the
-    underlying range.  Only in-memory traces and sharded ([.lpt] v3)
-    files are seekable.
-    @raise Failure when the source is not seekable. *)
-
-val sub : t -> first:int -> count:int -> t
-(** [sub t ~first ~count] is a fresh source over the [count] events
-    starting at event [first] of [t]'s range, with the same tables.
-    [t] itself is left untouched.
-    @raise Failure when the source is not seekable. *)
-
 val of_trace : Trace.t -> t
 (** Stream an in-memory trace.  Cheap; a fresh cursor per call. *)
 
-val of_indexed : Binio.indexed -> t
-(** Stream a seekable v3 index ({!of_file} does this automatically for
-    v3 files); the result supports {!seek} and {!sub}. *)
+val of_indexed : ?first:int -> ?count:int -> Binio.indexed -> t
+(** Stream a v3 index ({!of_file} does this automatically for v3
+    files), or only its window of [count] events from event [first]
+    (defaults: from event [0] to the end).  The window opens at the chunk
+    holding [first], decoding at most one chunk's worth to reach it.
+    @raise Invalid_argument when the window leaves the trace. *)
 
 val of_string : ?name:string -> string -> t
 (** Stream serialized bytes, auto-detecting text vs binary like

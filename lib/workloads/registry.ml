@@ -95,8 +95,6 @@ let trace ?(scale = 1.0) ~program ~input () =
       Hashtbl.replace cache key t;
       t
 
-let clear_cache () = Hashtbl.reset cache
-
 (* Streaming access deliberately bypasses the memo cache: a source is
    single-shot and the whole point is never holding the event array. *)
 let source ?(scale = 1.0) ~program ~input () =

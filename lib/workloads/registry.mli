@@ -31,8 +31,6 @@ val names : string list
 val trace : ?scale:float -> program:string -> input:string -> unit -> Lp_trace.Trace.t
 (** Memoized trace access.  [input] is ["train"], ["test"] or ["tiny"]. *)
 
-val clear_cache : unit -> unit
-
 val source :
   ?scale:float -> program:string -> input:string -> unit -> Lp_trace.Source.t
 (** A pull-based event source that runs the workload incrementally

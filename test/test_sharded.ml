@@ -1,5 +1,5 @@
 (* The sharded (.lpt v3) trace layout and its satellites: v2 -> v3 -> v2
-   byte-identity, seek/sub window determinism, every fold-protocol pass
+   byte-identity, windows of the index, every fold-protocol pass
    (stats, lifetimes, training, lint, audit) agreeing over every source
    kind, random covering partitions and domain counts, the corrupt
    corpus linted range-parallel, and the codec/capacity/GC regression
@@ -233,54 +233,38 @@ let v3_roundtrip =
       && c.Source.total_refs = trace.Lp_trace.Trace.total_refs
       && Source.n_objects src = trace.Lp_trace.Trace.n_objects)
 
-(* -- v3: seek and sub are deterministic windows ------------------------------------- *)
+(* -- v3: windows of the index are slices of the stream ------------------------------ *)
 
-let seek_gen =
+let window_gen =
   QCheck.Gen.(
     triple Test_stream.random_trace_gen (int_range 1 16) (int_range 0 9999))
 
-let seek_sub_determinism =
+let window_slices =
   QCheck.Test.make ~count:40
-    ~name:"Source.seek/sub windows equal slices of the full stream"
-    (QCheck.make seek_gen)
+    ~name:"Source.of_indexed windows equal slices of the full stream"
+    (QCheck.make window_gen)
     (fun (trace, chunk_events, salt) ->
       let v3 = B.to_string_v3 ~chunk_events trace in
       let ix = B.index ~name:"rt.lpt" (B.big_of_string v3) in
       let all = events (Source.of_indexed ix) in
       let n = List.length all in
-      let pos = if n = 0 then 0 else salt mod (n + 1) in
-      let first = pos in
+      let first = if n = 0 then 0 else salt mod (n + 1) in
       let count = if n = first then 0 else salt * 7 mod (n - first + 1) in
-      List.iter
-        (fun (kind, fresh) ->
-          (* seek forward from the start *)
-          let s = fresh () in
-          Source.seek s pos;
-          if events s <> drop pos all then
-            QCheck.Test.fail_reportf "%s: seek %d differs" kind pos;
-          (* seek back after a partial drain *)
-          let s = fresh () in
-          let half = n / 2 in
-          for _ = 1 to half do
-            ignore (Source.next s)
-          done;
-          Source.seek s pos;
-          if events s <> drop pos all then
-            QCheck.Test.fail_reportf "%s: rewind to %d differs" kind pos;
-          (* sub yields exactly the requested window *)
-          let w = Source.sub (fresh ()) ~first ~count in
-          if events w <> take count (drop first all) then
-            QCheck.Test.fail_reportf "%s: sub %d+%d differs" kind first count;
-          (* and a sub of the sub nests *)
-          let inner = min count 3 in
-          let w2 = Source.sub (fresh ()) ~first ~count in
-          let w2 = Source.sub w2 ~first:0 ~count:inner in
-          if events w2 <> take inner (take count (drop first all)) then
-            QCheck.Test.fail_reportf "%s: nested sub differs" kind)
-        [
-          ("indexed", fun () -> Source.of_indexed ix);
-          ("of_trace", fun () -> Source.of_trace trace);
-        ];
+      (* an open-ended window runs to the end *)
+      if events (Source.of_indexed ix ~first) <> drop first all then
+        QCheck.Test.fail_reportf "from %d differs" first;
+      let window = take count (drop first all) in
+      if events (Source.of_indexed ix ~first ~count) <> window then
+        QCheck.Test.fail_reportf "window %d+%d differs" first count;
+      (* and a window inside that window nests *)
+      let skip = if count = 0 then 0 else salt mod (count + 1) in
+      let inner = min (count - skip) 3 in
+      if
+        events (Source.of_indexed ix ~first:(first + skip) ~count:inner)
+        <> take inner (drop skip window)
+      then
+        QCheck.Test.fail_reportf "nested window %d+%d of %d+%d differs" skip
+          inner first count;
       true)
 
 (* -- every pass over every source kind and partition ---------------------------------- *)
@@ -539,8 +523,11 @@ let empty_trace_edge () =
   Alcotest.(check int) "zero events" 0 (Sharded.n_events sh);
   Alcotest.(check (list pass)) "no events streamed" []
     (events (Sharded.source sh));
-  let w = Source.sub (Sharded.source sh) ~first:0 ~count:0 in
-  Alcotest.(check (list pass)) "empty sub" [] (events w);
+  let w = Source.of_indexed (Sharded.index sh) ~first:0 ~count:0 in
+  Alcotest.(check (list pass)) "empty window" [] (events w);
+  Alcotest.check_raises "window past the end"
+    (Invalid_argument "Source.of_indexed: window 0+1 out of range") (fun () ->
+      ignore (Source.of_indexed (Sharded.index sh) ~first:0 ~count:1));
   let st = Lifetime.Shard.run ~domains:2 Lp_trace.Stats.pass sh in
   Alcotest.(check int) "no objects" 0 st.Lp_trace.Stats.total_objects;
   Alcotest.(check (list pass)) "no diagnostics" []
@@ -576,7 +563,7 @@ let suites =
     ( "sharded",
       [
         QCheck_alcotest.to_alcotest v3_roundtrip;
-        QCheck_alcotest.to_alcotest seek_sub_determinism;
+        QCheck_alcotest.to_alcotest window_slices;
         QCheck_alcotest.to_alcotest partition_fold_determinism;
         QCheck_alcotest.to_alcotest realloc_partition_fold_determinism;
         Alcotest.test_case "realloc carry across chunk boundary" `Quick

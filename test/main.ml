@@ -9,4 +9,5 @@ let () =
    @ Test_extensions.suites @ Test_integration.suites @ Test_properties.suites
    @ Test_analysis.suites @ Test_golden.suites @ Test_perf.suites
    @ Test_stream.suites @ Test_sharded.suites @ Test_audit.suites
-   @ Test_tune.suites @ Test_oracle.suites @ Test_decode_errors.suites)
+   @ Test_tune.suites @ Test_oracle.suites @ Test_decode_errors.suites
+   @ Test_audit_golden.suites)

@@ -156,6 +156,62 @@ let contract_matches_pin () =
     (fun want have -> if want <> have then Alcotest.(check string) "record" want have)
     expected got
 
+(* The same contract through the fold protocol: a pass over a source
+   that stops with a decode error must raise the drain's message, after
+   the source has handed the pass every event before the failing one
+   (the deferred error), and a pass over an intact prefix must see every
+   event.  Checked for Stats and the audit engine on every truncated and
+   corrupted input above that opens. *)
+let pass_outcome name s pass =
+  match Source.of_string ~name s with
+  | exception Failure _ -> None
+  | src -> (
+      match pass src with
+      | () -> Some (Printf.sprintf "ok %d" (Source.events_streamed src))
+      | exception Failure m ->
+          Some (Printf.sprintf "%d %s" (Source.events_streamed src) (abbreviate name m)))
+
+let passes =
+  [
+    ("stats", fun src -> ignore (Lp_trace.Pass.run Lp_trace.Stats.pass src : Lp_trace.Stats.t));
+    ( "audit",
+      fun src ->
+        ignore
+          (Lp_trace.Pass.run (Lp_analysis.Audit.pass Lp_analysis.Audit.default_options) src
+            : Lp_analysis.Diagnostic.t list) );
+  ]
+
+let inputs tag s =
+  let n = String.length s in
+  List.init n (fun k -> (Printf.sprintf "%s cut %d" tag k, String.sub s 0 k))
+  @ List.concat_map
+      (fun i ->
+        List.map
+          (fun (what, f) ->
+            let b = Bytes.of_string s in
+            f b i;
+            (Printf.sprintf "%s %s %d" tag what i, Bytes.to_string b))
+          corruptions)
+      (List.filter (fun i -> i mod stride = 0) (List.init (n - 5) (fun i -> i + 5)))
+  @ [ (tag ^ " intact", s) ]
+
+let passes_raise_the_drain_error () =
+  List.iter
+    (fun (tag, s) ->
+      let name = tag ^ ".lpt" in
+      List.iter
+        (fun (label, input) ->
+          let drained = drain name (fun () -> Source.of_string ~name input) in
+          List.iter
+            (fun (pass_name, pass) ->
+              match pass_outcome name input pass with
+              | None -> ()
+              | Some got ->
+                  Alcotest.(check string) (label ^ " via " ^ pass_name) drained got)
+            passes)
+        (inputs tag s))
+    [ ("v2", v2_trace ()); ("v3", v3_trace ()) ]
+
 let suites =
   [
     ( "decode-errors",
@@ -164,5 +220,7 @@ let suites =
           versions_are_as_named;
         Alcotest.test_case "truncation/corruption errors match the pin" `Quick
           contract_matches_pin;
+        Alcotest.test_case "passes raise the drain's error after its events"
+          `Quick passes_raise_the_drain_error;
       ] );
   ]

@@ -31,13 +31,13 @@ let rules =
     };
   ]
 
-let quartiles_of (st : Profile.site) =
-  if Lp_quantile.Histogram.count st.st_hist = 0 then "none"
+let quartiles_of hist =
+  if Lp_quantile.Histogram.count hist = 0 then "none"
   else
     Format.asprintf "%a" Lp_quantile.Histogram.pp_quartiles
-      (Lp_quantile.Histogram.quartiles st.st_hist)
+      (Lp_quantile.Histogram.quartiles hist)
 
-let describe src (st : Profile.site) =
+let describe src (st : Profile.site) hist =
   let cls =
     if st.st_count = st.st_short then "all short-lived"
     else
@@ -48,69 +48,67 @@ let describe src (st : Profile.site) =
   Printf.sprintf "%s (depth %d, %d object(s), %s, lifetimes %s)"
     (Absint.render_chain src st.st_chain)
     (Absint.chain_depth src st.st_chain)
-    st.st_count cls (quartiles_of st)
+    st.st_count cls (quartiles_of hist)
+
+(* the first short/long member pair on distinct chains, in site (=
+   first-appearance) order, anchors a key's diagnostic *)
+let clash (pf : Profile.merged) (ky : Profile.key) =
+  let site g = pf.pf_sites.(g) in
+  let shorts =
+    List.filter
+      (fun g -> (site g).st_count > 0 && (site g).st_short = (site g).st_count)
+      ky.ky_sites
+  in
+  let longs =
+    List.filter (fun g -> (site g).st_short < (site g).st_count) ky.ky_sites
+  in
+  List.find_map
+    (fun s ->
+      List.find_map
+        (fun l ->
+          if (site l).st_chain <> (site s).st_chain then Some (ky, s, l)
+          else None)
+        longs)
+    shorts
 
 let report ?model_index src (pf : Profile.merged) =
-  let out = ref [] in
-  Array.iter
-    (fun (ky : Profile.key) ->
-      let members = List.map (fun g -> pf.pf_sites.(g)) ky.ky_sites in
-      let shorts =
-        List.filter
-          (fun (st : Profile.site) ->
-            st.st_count > 0 && st.st_short = st.st_count)
-          members
+  let clashes = List.filter_map (clash pf) (Array.to_list pf.pf_keys) in
+  (* the quartiles of every described site, in one walk *)
+  let hists =
+    Profile.lifetime_histograms pf
+      (Array.of_list (List.concat_map (fun (_, s, l) -> [ s; l ]) clashes))
+  in
+  List.mapi
+    (fun j ((ky : Profile.key), s, l) ->
+      let predicted_short =
+        match model_index with
+        | None -> None
+        | Some ix -> (
+            match Lifetime.Model.find_key ix ky.ky_key with
+            | Some e when e.Lifetime.Model.predicted -> Some e
+            | _ -> None)
       in
-      let longs =
-        List.filter
-          (fun (st : Profile.site) -> st.st_short < st.st_count)
-          members
+      let base =
+        Printf.sprintf
+          "predictor key shared by %d site(s) with disagreeing lifetime \
+           classes: %s vs %s"
+          (List.length ky.ky_sites)
+          (describe src pf.pf_sites.(s) hists.(2 * j))
+          (describe src pf.pf_sites.(l) hists.((2 * j) + 1))
       in
-      (* the first short/long member pair on distinct chains, in site
-         (= first-appearance) order, anchors the diagnostic *)
-      let clash =
-        List.find_map
-          (fun (s : Profile.site) ->
-            List.find_map
-              (fun (l : Profile.site) ->
-                if l.st_chain <> s.st_chain then Some (s, l) else None)
-              longs)
-          shorts
-      in
-      match clash with
-      | None -> ()
-      | Some (s, l) ->
-          let predicted_short =
-            match model_index with
-            | None -> None
-            | Some ix -> (
-                match Lifetime.Model.find_key ix ky.ky_key with
-                | Some e when e.Lifetime.Model.predicted -> Some e
-                | _ -> None)
-          in
-          let base =
-            Printf.sprintf
-              "predictor key shared by %d site(s) with disagreeing lifetime \
-               classes: %s vs %s"
-              (List.length members) (describe src s) (describe src l)
-          in
-          let d =
-            match predicted_short with
-            | Some e ->
-                make ~rule:"chain-collision-mispredict" ~severity:Error
-                  ~event:ky.ky_first_event
-                  ~site:(Lifetime.Portable.to_string ky.ky_key)
-                  (Printf.sprintf
-                     "%s — the model predicts this key short-lived (%d of %d \
-                      training objects short), so the long-lived site's \
-                      allocations are guaranteed mispredicts"
-                     base e.Lifetime.Model.short_count e.Lifetime.Model.count)
-            | None ->
-                make ~rule:"chain-collision" ~severity:Warning
-                  ~event:ky.ky_first_event
-                  ~site:(Lifetime.Portable.to_string ky.ky_key)
-                  base
-          in
-          out := d :: !out)
-    pf.pf_keys;
-  List.rev !out
+      match predicted_short with
+      | Some e ->
+          make ~rule:"chain-collision-mispredict" ~severity:Error
+            ~event:ky.ky_first_event
+            ~site:(Lifetime.Portable.to_string ky.ky_key)
+            (Printf.sprintf
+               "%s — the model predicts this key short-lived (%d of %d \
+                training objects short), so the long-lived site's \
+                allocations are guaranteed mispredicts"
+               base e.Lifetime.Model.short_count e.Lifetime.Model.count)
+      | None ->
+          make ~rule:"chain-collision" ~severity:Warning
+            ~event:ky.ky_first_event
+            ~site:(Lifetime.Portable.to_string ky.ky_key)
+            base)
+    clashes

@@ -131,116 +131,125 @@ let enter ~enabled ~max_chain_depth (src : Source.t) (en : Pass.entry) =
     en.en_carry;
   let next_obj = ref en.en_next_obj in
   let event = ref (en.en_first_event - 1) in
-  let step (ev : Lp_trace.Event.t) =
-    incr event;
-    let event = !event in
-    match ev with
-    | Alloc { obj; size; chain; _ } ->
-        if size <= 0 then
-          emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
-            ~site:(site chain)
-            (Printf.sprintf "allocation of object %d with size %d" obj size);
-        if obj <> !next_obj then
-          emit ~rule:"non-monotonic-birth" ~severity:Error ~event ~obj
-            (Printf.sprintf
-               "allocation of object %d out of birth order (expected object \
-                %d)"
-               obj !next_obj);
-        if obj >= 0 then begin
-          if obj >= !next_obj then next_obj := obj + 1;
-          touch obj;
-          Grow.set state obj live;
-          Grow.set alloc_size obj size;
-          Grow.set alloc_event obj event;
-          Grow.set alloc_chain obj chain
-        end
-        else incr next_obj;
-        if
-          chain >= 0
-          && chain < src.n_chains ()
-          && not (Grow.Flags.mem chain_reported chain 1)
-        then begin
-          let depth = Array.length (src.chain chain) in
-          if depth = 0 then begin
-            Grow.Flags.add chain_reported chain 1;
-            emit_chain_once ~chain ~severity:Warning ~event ~obj
-              ~site:"<empty chain>"
-              (Printf.sprintf "allocation call-chain %d is empty" chain)
-          end
-          else if depth > max_chain_depth then begin
-            Grow.Flags.add chain_reported chain 1;
-            emit_chain_once ~chain ~severity:Warning ~event ~obj
+  let step (b : Lp_trace.Block.t) lo hi =
+    for i = lo to hi - 1 do
+      incr event;
+      let event = !event in
+      let obj = Array.unsafe_get b.obj i in
+      match Bytes.unsafe_get b.kinds i with
+      | '\000' (* alloc *) ->
+          let size = Array.unsafe_get b.size i in
+          let chain = Array.unsafe_get b.chain i in
+          if size <= 0 then
+            emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
               ~site:(site chain)
-              (Printf.sprintf "allocation call-chain %d has depth %d (limit %d)"
-                 chain depth max_chain_depth)
-          end
-        end
-    | Free { obj; size } ->
-        if obj < 0 || Grow.get state obj = unborn then
-          emit ~rule:"free-without-alloc" ~severity:Error ~event ~obj
-            (Printf.sprintf "free of object %d which has not been allocated" obj)
-        else begin
-          let st = Grow.get state obj in
-          (if st >= 0 then
-             emit ~rule:"double-free" ~severity:Error ~event ~obj
-               ~site:(site (Grow.get alloc_chain obj))
-               (Printf.sprintf "object %d freed again (first freed at event %d)"
-                  obj st));
-          if size >= 0 && size <> Grow.get alloc_size obj then
-            emit ~rule:"size-mismatch-at-free" ~severity:Error ~event ~obj
-              ~site:(site (Grow.get alloc_chain obj))
+              (Printf.sprintf "allocation of object %d with size %d" obj size);
+          if obj <> !next_obj then
+            emit ~rule:"non-monotonic-birth" ~severity:Error ~event ~obj
               (Printf.sprintf
-                 "free declares size %d but object %d was allocated with size \
-                  %d at event %d"
-                 size obj (Grow.get alloc_size obj) (Grow.get alloc_event obj));
-          if st = live then begin
+                 "allocation of object %d out of birth order (expected object \
+                  %d)"
+                 obj !next_obj);
+          if obj >= 0 then begin
+            if obj >= !next_obj then next_obj := obj + 1;
             touch obj;
-            Grow.set state obj event
+            Grow.set state obj live;
+            Grow.set alloc_size obj size;
+            Grow.set alloc_event obj event;
+            Grow.set alloc_chain obj chain
           end
-        end
-    | Realloc { obj; old_size; new_size; chain; _ } ->
-        if new_size <= 0 then
-          emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
-            ~site:(site chain)
-            (Printf.sprintf "realloc of object %d to size %d" obj new_size);
-        if obj < 0 || Grow.get state obj = unborn then
-          emit ~rule:"realloc-of-unallocated" ~severity:Error ~event ~obj
-            ~site:(site chain)
-            (Printf.sprintf "realloc of object %d which has not been allocated"
-               obj)
-        else begin
-          let st = Grow.get state obj in
-          if st >= 0 then
-            emit ~rule:"realloc-after-free" ~severity:Error ~event ~obj
-              ~site:(site (Grow.get alloc_chain obj))
-              (Printf.sprintf "realloc of object %d after its free at event %d"
-                 obj st)
+          else incr next_obj;
+          if
+            chain >= 0
+            && chain < src.n_chains ()
+            && not (Grow.Flags.mem chain_reported chain 1)
+          then begin
+            let depth = Array.length (src.chain chain) in
+            if depth = 0 then begin
+              Grow.Flags.add chain_reported chain 1;
+              emit_chain_once ~chain ~severity:Warning ~event ~obj
+                ~site:"<empty chain>"
+                (Printf.sprintf "allocation call-chain %d is empty" chain)
+            end
+            else if depth > max_chain_depth then begin
+              Grow.Flags.add chain_reported chain 1;
+              emit_chain_once ~chain ~severity:Warning ~event ~obj
+                ~site:(site chain)
+                (Printf.sprintf "allocation call-chain %d has depth %d (limit %d)"
+                   chain depth max_chain_depth)
+            end
+          end
+      | '\001' (* free *) ->
+          let size = Array.unsafe_get b.size i in
+          if obj < 0 || Grow.get state obj = unborn then
+            emit ~rule:"free-without-alloc" ~severity:Error ~event ~obj
+              (Printf.sprintf "free of object %d which has not been allocated" obj)
           else begin
-            (if old_size <> Grow.get alloc_size obj then
-               emit ~rule:"realloc-size-regression" ~severity:Error ~event ~obj
+            let st = Grow.get state obj in
+            (if st >= 0 then
+               emit ~rule:"double-free" ~severity:Error ~event ~obj
                  ~site:(site (Grow.get alloc_chain obj))
-                 (Printf.sprintf
-                    "realloc declares old size %d but object %d currently has \
-                     size %d (allocated at event %d)"
-                    old_size obj (Grow.get alloc_size obj)
-                    (Grow.get alloc_event obj)));
-            (* later size checks are against the resized object (the
-               carry-in sets snapshot post-realloc sizes too) *)
-            touch obj;
-            Grow.set alloc_size obj new_size
+                 (Printf.sprintf "object %d freed again (first freed at event %d)"
+                    obj st));
+            if size >= 0 && size <> Grow.get alloc_size obj then
+              emit ~rule:"size-mismatch-at-free" ~severity:Error ~event ~obj
+                ~site:(site (Grow.get alloc_chain obj))
+                (Printf.sprintf
+                   "free declares size %d but object %d was allocated with size \
+                    %d at event %d"
+                   size obj (Grow.get alloc_size obj) (Grow.get alloc_event obj));
+            if st = live then begin
+              touch obj;
+              Grow.set state obj event
+            end
           end
-        end
-    | Touch { obj; _ } ->
-        if obj < 0 || Grow.get state obj = unborn then
-          emit ~rule:"touch-after-free" ~severity:Error ~event ~obj
-            (Printf.sprintf "touch of object %d before its allocation" obj)
-        else
-          let st = Grow.get state obj in
-          if st >= 0 then
+      | '\002' (* realloc *) ->
+          let old_size = Array.unsafe_get b.size i in
+          let new_size = Array.unsafe_get b.new_size i in
+          let chain = Array.unsafe_get b.chain i in
+          if new_size <= 0 then
+            emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
+              ~site:(site chain)
+              (Printf.sprintf "realloc of object %d to size %d" obj new_size);
+          if obj < 0 || Grow.get state obj = unborn then
+            emit ~rule:"realloc-of-unallocated" ~severity:Error ~event ~obj
+              ~site:(site chain)
+              (Printf.sprintf "realloc of object %d which has not been allocated"
+                 obj)
+          else begin
+            let st = Grow.get state obj in
+            if st >= 0 then
+              emit ~rule:"realloc-after-free" ~severity:Error ~event ~obj
+                ~site:(site (Grow.get alloc_chain obj))
+                (Printf.sprintf "realloc of object %d after its free at event %d"
+                   obj st)
+            else begin
+              (if old_size <> Grow.get alloc_size obj then
+                 emit ~rule:"realloc-size-regression" ~severity:Error ~event ~obj
+                   ~site:(site (Grow.get alloc_chain obj))
+                   (Printf.sprintf
+                      "realloc declares old size %d but object %d currently has \
+                       size %d (allocated at event %d)"
+                      old_size obj (Grow.get alloc_size obj)
+                      (Grow.get alloc_event obj)));
+              (* later size checks are against the resized object (the
+                 carry-in sets snapshot post-realloc sizes too) *)
+              touch obj;
+              Grow.set alloc_size obj new_size
+            end
+          end
+      | _ (* touch *) ->
+          if obj < 0 || Grow.get state obj = unborn then
             emit ~rule:"touch-after-free" ~severity:Error ~event ~obj
-              ~site:(site (Grow.get alloc_chain obj))
-              (Printf.sprintf "touch of object %d after its free at event %d"
-                 obj st)
+              (Printf.sprintf "touch of object %d before its allocation" obj)
+          else
+            let st = Grow.get state obj in
+            if st >= 0 then
+              emit ~rule:"touch-after-free" ~severity:Error ~event ~obj
+                ~site:(site (Grow.get alloc_chain obj))
+                (Printf.sprintf "touch of object %d after its free at event %d"
+                   obj st)
+    done
   in
   let finish () =
     let objs = Grow.freeze touched in

@@ -55,7 +55,7 @@ type Absint.token += Summary of summary | Merged of merged
 
 module Grow = Lp_trace.Grow
 module Pair_table = Lp_trace.Pair_table
-module Event = Lp_trace.Event
+module Block = Lp_trace.Block
 
 let enter (_src : Lp_trace.Source.t) (_en : Lp_trace.Pass.entry) =
   let sites = Pair_table.create 256 in
@@ -66,6 +66,12 @@ let enter (_src : Lp_trace.Source.t) (_en : Lp_trace.Pass.entry) =
   let allocs = Grow.create 256 in
   let alloc_bytes = Grow.create 256 in
   let gpeak = ref min_int and gpeak_event = ref (-1) in
+  let peak ~event glive_post =
+    if glive_post > !gpeak then begin
+      gpeak := glive_post;
+      gpeak_event := event
+    end
+  in
   let site_delta ~event ~glive_post id delta =
     let n = Grow.get net id + delta in
     Grow.set net id n;
@@ -75,49 +81,49 @@ let enter (_src : Lp_trace.Source.t) (_en : Lp_trace.Pass.entry) =
       Grow.set glive_at_peak id glive_post
     end
   in
-  let step (ctx : Absint.ctx) ev =
-    let event = ctx.Absint.cx_event in
-    let gdelta =
-      match ev with
-      | Event.Alloc { size; _ } -> size
-      | Event.Free { obj; _ } ->
-          if obj >= 0 then -ctx.Absint.cx_cur_size obj else 0
-      | Event.Realloc { obj; new_size; _ } ->
-          if obj >= 0 then new_size - ctx.Absint.cx_cur_size obj else 0
-      | Event.Touch _ -> 0
-    in
-    let glive_post = ctx.Absint.cx_live_bytes + gdelta in
-    (match ev with
-    | Event.Alloc { size; chain; _ } ->
-        let id = Pair_table.intern sites chain size in
-        Grow.set allocs id (Grow.get allocs id + 1);
-        Grow.set alloc_bytes id (Grow.get alloc_bytes id + size);
-        site_delta ~event ~glive_post id size
-    | Event.Free { obj; _ } ->
-        if ctx.Absint.cx_born obj then begin
-          let cur = ctx.Absint.cx_cur_size obj in
-          let id =
-            Pair_table.intern sites (ctx.Absint.cx_birth_chain obj) cur
-          in
-          site_delta ~event ~glive_post id (-cur)
-        end
-    | Event.Realloc { obj; new_size; _ } ->
-        if ctx.Absint.cx_born obj then begin
-          let chain = ctx.Absint.cx_birth_chain obj in
-          let cur = ctx.Absint.cx_cur_size obj in
-          (* the object's bytes migrate between its birth chain's size
-             buckets: close the old interval, open the new one *)
-          site_delta ~event ~glive_post (Pair_table.intern sites chain cur)
-            (-cur);
-          site_delta ~event ~glive_post
-            (Pair_table.intern sites chain new_size)
-            new_size
-        end
-    | Event.Touch _ -> ());
-    if glive_post > !gpeak then begin
-      gpeak := glive_post;
-      gpeak_event := event
-    end
+  let step (ctx : Absint.ctx) (b : Block.t) lo hi =
+    let live_col = ctx.Absint.cx_live_bytes
+    and size_col = ctx.Absint.cx_cur_size
+    and chain_col = ctx.Absint.cx_birth_chain in
+    for i = lo to hi - 1 do
+      let event = ctx.Absint.cx_base + i in
+      let obj = Array.unsafe_get b.obj i in
+      (* the slot object's pre-event size; a born object has a chain *)
+      let cur = Array.unsafe_get size_col i in
+      let born = Array.unsafe_get chain_col i >= 0 in
+      let live = Array.unsafe_get live_col i in
+      match Bytes.unsafe_get b.kinds i with
+      | '\000' (* alloc *) ->
+          let size = Array.unsafe_get b.size i in
+          let glive_post = live + size in
+          let id = Pair_table.intern sites (Array.unsafe_get b.chain i) size in
+          Grow.set allocs id (Grow.get allocs id + 1);
+          Grow.set alloc_bytes id (Grow.get alloc_bytes id + size);
+          site_delta ~event ~glive_post id size;
+          peak ~event glive_post
+      | '\001' (* free *) ->
+          let glive_post = live - cur in
+          if born then
+            site_delta ~event ~glive_post
+              (Pair_table.intern sites (Array.unsafe_get chain_col i) cur)
+              (-cur);
+          peak ~event glive_post
+      | '\002' (* realloc *) ->
+          let new_size = Array.unsafe_get b.new_size i in
+          let glive_post = if obj >= 0 then live + new_size - cur else live in
+          if born then begin
+            let chain = Array.unsafe_get chain_col i in
+            (* the object's bytes migrate between its birth chain's size
+               buckets: close the old interval, open the new one *)
+            site_delta ~event ~glive_post (Pair_table.intern sites chain cur)
+              (-cur);
+            site_delta ~event ~glive_post
+              (Pair_table.intern sites chain new_size)
+              new_size
+          end;
+          peak ~event glive_post
+      | _ (* touch *) -> peak ~event live
+    done
   in
   let finish () =
     let n = Pair_table.length sites in

@@ -35,10 +35,14 @@ let enter ~(config : Config.t) (src : Source.t) (en : Lp_trace.Pass.entry) =
   let alloc_site =
     Lp_trace.Grow.create (Lp_trace.Pass.objects src - en.en_next_obj)
   in
-  let step ev =
-    (match ev with
-    | Lp_trace.Event.Alloc { size; chain; key; _ } ->
-        let x = match config.policy with Site.Encrypted_key -> key | _ -> chain in
+  let by_key = match config.policy with Site.Encrypted_key -> true | _ -> false in
+  let step (b : Lp_trace.Block.t) lo hi =
+    for i = lo to hi - 1 do
+      if Bytes.unsafe_get b.kinds i = '\000' (* alloc *) then begin
+        let size = Array.unsafe_get b.size i in
+        let chain = Array.unsafe_get b.chain i in
+        let key = Array.unsafe_get b.key i in
+        let x = if by_key then key else chain in
         let n = Lp_trace.Pair_table.length ids in
         let id = Lp_trace.Pair_table.intern ids x size in
         if id = n then
@@ -46,8 +50,9 @@ let enter ~(config : Config.t) (src : Source.t) (en : Lp_trace.Pass.entry) =
             Site.make config.policy ~raw_chain:(src.chain chain) ~key ~size
             :: !sites;
         Lp_trace.Grow.push alloc_site id
-    | _ -> ());
-    Lifetimes.Fold.step fold ev
+      end
+    done;
+    Lifetimes.Fold.step fold b lo hi
   in
   let finish () =
     {

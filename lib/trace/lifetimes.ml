@@ -64,10 +64,11 @@ type range_fold = {
   rf_end_clock : int;
 }
 
-(* The range fold's state machine, one event at a time, so passes that
-   interleave their own per-event work with lifetime accumulation
-   (training, the audit's site profile) step a [Fold.t] from their own
-   step instead of duplicating the clock and birth/free bookkeeping.
+(* The range fold's state machine, a block at a time, so passes that
+   keep their own per-event work next to lifetime accumulation
+   (training, the audit's site profile) step a [Fold.t] over each block
+   after their own loop over it, instead of duplicating the clock and
+   birth/free bookkeeping.
 
    Per-object state is indexed by absolute object id: two word tables
    (birth clock, lifetime) and one flag byte holding the born, freed and
@@ -114,19 +115,29 @@ module Fold = struct
       Grow.push t.f_touched obj;
     Grow.Flags.add t.f_flags obj (bit lor touched)
 
-  let step t = function
-    | Event.Alloc { obj; size; _ } ->
-        Grow.push t.f_a_obj obj;
-        Grow.push t.f_a_size size;
-        touch t obj born;
-        Grow.set t.f_birth obj t.f_clock;
-        t.f_clock <- t.f_clock + size
-    | Event.Free { obj; _ } ->
-        touch t obj freed;
-        Grow.set t.f_life obj (t.f_clock - Grow.get t.f_birth obj)
-    | Event.Realloc { old_size; new_size; _ } ->
-        t.f_clock <- t.f_clock + max 0 (new_size - old_size)
-    | Event.Touch _ -> ()
+  let step t (b : Block.t) lo hi =
+    let clock = ref t.f_clock in
+    for i = lo to hi - 1 do
+      match Bytes.unsafe_get b.kinds i with
+      | '\000' (* alloc *) ->
+          let obj = Array.unsafe_get b.obj i in
+          let size = Array.unsafe_get b.size i in
+          Grow.push t.f_a_obj obj;
+          Grow.push t.f_a_size size;
+          touch t obj born;
+          Grow.set t.f_birth obj !clock;
+          clock := !clock + size
+      | '\001' (* free *) ->
+          let obj = Array.unsafe_get b.obj i in
+          touch t obj freed;
+          Grow.set t.f_life obj (!clock - Grow.get t.f_birth obj)
+      | '\002' (* realloc *) ->
+          clock :=
+            !clock
+            + max 0 (Array.unsafe_get b.new_size i - Array.unsafe_get b.size i)
+      | _ (* touch *) -> ()
+    done;
+    t.f_clock <- !clock
 
   let finish t =
     let touched = Grow.freeze t.f_touched in

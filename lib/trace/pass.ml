@@ -27,21 +27,16 @@ let entry_of_range (rg : Sharded.range) =
     en_carry = rg.Sharded.rg_carry;
   }
 
+type step = Block.t -> int -> int -> unit
+
 type ('part, 'out) t = {
-  enter : Source.t -> entry -> (Event.t -> unit) * (unit -> 'part);
+  enter : Source.t -> entry -> step * (unit -> 'part);
   merge : Source.t -> 'part list -> 'out;
 }
 
 let fold p src en =
   let step, finish = p.enter src en in
-  let rec loop () =
-    match Source.next src with
-    | None -> ()
-    | Some ev ->
-        step ev;
-        loop ()
-  in
-  loop ();
+  Source.iter_blocks step src;
   finish ()
 
 let run p src = p.merge src [ fold p src whole ]

@@ -12,8 +12,11 @@
     replayed range by range are in global allocation order.
 
     Stats, lifetimes, training, lint and the audit engine are each one
-    pass; the event loop below ({!run}, {!run_range}) is the only one
-    they share.  The range-parallel runner is [Lifetime.Shard.run]. *)
+    pass; the block loop below ({!run}, {!run_range}, over
+    {!Source.iter_blocks}) is the only one they share, and no pass sees
+    a boxed {!Event.t}.  A decode error surfaces from that loop after
+    every event before the failing one has been stepped.  The
+    range-parallel runner is [Lifetime.Shard.run]. *)
 
 type entry = {
   en_first_event : int;  (** global index of the range's first event *)
@@ -32,12 +35,17 @@ val whole : entry
 
 val entry_of_range : Sharded.range -> entry
 
+type step = Block.t -> int -> int -> unit
+(** [step b lo hi] folds the events in slots [\[lo, hi)] of [b], in slot
+    order, reading the block's columns directly.  The block is only
+    valid until the step returns. *)
+
 type ('part, 'out) t = {
-  enter : Source.t -> entry -> (Event.t -> unit) * (unit -> 'part);
-      (** Start a range over its source: the per-event step and the
-          finisher that packs the range's part.  The source's
-          [n_objects_hint] bounds the object ids the range names; size
-          id-indexed tables from it ({!objects}). *)
+  enter : Source.t -> entry -> step * (unit -> 'part);
+      (** Start a range over its source: the block step and the finisher
+          that packs the range's part.  The source's [n_objects_hint]
+          bounds the object ids the range names; size id-indexed tables
+          from it ({!objects}). *)
   merge : Source.t -> 'part list -> 'out;
       (** Combine a covering partition's parts, in range order.  The
           source is the whole trace's, with its tables complete: the

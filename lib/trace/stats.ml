@@ -34,26 +34,33 @@ let enter src (en : Pass.entry) =
   let live_bytes = ref en.en_live_bytes in
   let live_objs = ref en.en_live_objs in
   let max_bytes = ref 0 and max_objs = ref 0 in
-  let step = function
-    | Event.Alloc { obj; size; _ } ->
-        Grow.set sizes obj size;
-        total_bytes := !total_bytes + size;
-        live_bytes := !live_bytes + size;
-        incr live_objs;
-        if !live_bytes > !max_bytes then max_bytes := !live_bytes;
-        if !live_objs > !max_objs then max_objs := !live_objs
-    | Event.Free { obj; _ } ->
-        live_bytes := !live_bytes - Grow.get sizes obj;
-        decr live_objs
-    | Event.Realloc { obj; old_size; new_size; _ } ->
-        (* the clock charges the declared grown delta (as
-           [Trace.total_bytes] does); live bytes swap the tracked
-           current size for the new one (as the free path subtracts) *)
-        total_bytes := !total_bytes + max 0 (new_size - old_size);
-        live_bytes := !live_bytes - Grow.get sizes obj + new_size;
-        Grow.set sizes obj new_size;
-        if !live_bytes > !max_bytes then max_bytes := !live_bytes
-    | Event.Touch _ -> ()
+  let step (b : Block.t) lo hi =
+    for i = lo to hi - 1 do
+      let obj = Array.unsafe_get b.obj i in
+      match Bytes.unsafe_get b.kinds i with
+      | '\000' (* alloc *) ->
+          let size = Array.unsafe_get b.size i in
+          Grow.set sizes obj size;
+          total_bytes := !total_bytes + size;
+          live_bytes := !live_bytes + size;
+          incr live_objs;
+          if !live_bytes > !max_bytes then max_bytes := !live_bytes;
+          if !live_objs > !max_objs then max_objs := !live_objs
+      | '\001' (* free *) ->
+          live_bytes := !live_bytes - Grow.get sizes obj;
+          decr live_objs
+      | '\002' (* realloc *) ->
+          (* the clock charges the declared grown delta (as
+             [Trace.total_bytes] does); live bytes swap the tracked
+             current size for the new one (as the free path subtracts) *)
+          let new_size = Array.unsafe_get b.new_size i in
+          total_bytes :=
+            !total_bytes + max 0 (new_size - Array.unsafe_get b.size i);
+          live_bytes := !live_bytes - Grow.get sizes obj + new_size;
+          Grow.set sizes obj new_size;
+          if !live_bytes > !max_bytes then max_bytes := !live_bytes
+      | _ (* touch *) -> ()
+    done
   in
   let finish () =
     {

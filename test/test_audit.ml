@@ -177,6 +177,78 @@ let audit_equivalence_realloc =
     (QCheck.make Test_stream.random_realloc_trace_gen)
     check_equivalence
 
+(* -- on-demand quartiles ---------------------------------------------------------- *)
+
+(* [lifetime_histograms] against the quartiles of a histogram fed every
+   allocation's lifetime in trace order, per (chain, size) site: asked
+   for every site (in reverse, and one twice) over a random partition of
+   the v3 chunks, each site's histogram must be the reference's *)
+let on_demand_quartiles (trace, chunk_events, cuts) =
+  let module Profile = Lp_analysis.Absint.Site_profile in
+  let lt = Lp_trace.Lifetimes.compute trace in
+  let reference = Hashtbl.create 16 in
+  Array.iter
+    (function
+      | Lp_trace.Event.Alloc { obj; size; chain; _ } ->
+          let h =
+            match Hashtbl.find_opt reference (chain, size) with
+            | Some h -> h
+            | None ->
+                let h = Lp_quantile.Histogram.create () in
+                Hashtbl.add reference (chain, size) h;
+                h
+          in
+          Lp_quantile.Histogram.observe h
+            (float_of_int lt.Lp_trace.Lifetimes.lifetime.(obj))
+      | _ -> ())
+    trace.Lp_trace.Trace.events;
+  let cfg =
+    { Profile.pc_policy = Site.Complete_chain; pc_rounding = 8; pc_threshold = 32 }
+  in
+  let p = Lp_analysis.Absint.pass ~analyses:[ Profile.domain cfg ] in
+  let sh =
+    Lp_trace.Sharded.of_string ~name:"q.lpt"
+      (Lp_trace.Binio.to_string_v3 ~chunk_events trace)
+  in
+  let ranges = Test_sharded.partition_of sh cuts in
+  let pf =
+    match p.merge (Lp_trace.Sharded.source sh) (List.map (Lp_trace.Pass.run_range p) ranges) with
+    | [ tok ] -> Profile.project tok
+    | _ -> QCheck.Test.fail_report "one token expected"
+  in
+  let n = Array.length pf.Profile.pf_sites in
+  let ids = Array.append (Array.init n (fun g -> n - 1 - g)) (if n > 0 then [| 0 |] else [||]) in
+  let hists = Profile.lifetime_histograms pf ids in
+  let show h =
+    if Lp_quantile.Histogram.count h = 0 then "none"
+    else
+      Format.asprintf "%d %a" (Lp_quantile.Histogram.count h)
+        Lp_quantile.Histogram.pp_quartiles (Lp_quantile.Histogram.quartiles h)
+  in
+  Array.iteri
+    (fun j g ->
+      let st = pf.Profile.pf_sites.(g) in
+      let want = show (Hashtbl.find reference (st.Profile.st_chain, st.Profile.st_size)) in
+      let got = show hists.(j) in
+      if got <> want then
+        QCheck.Test.fail_reportf "site %d: %s, expected %s" g got want)
+    ids;
+  Profile.lifetime_histograms pf [||] = [||]
+
+let on_demand_quartiles_match =
+  QCheck.Test.make ~count:30
+    ~name:"on-demand site quartiles = a per-allocation feed, any partition"
+    (QCheck.make Test_sharded.realloc_partition_gen)
+    on_demand_quartiles
+
+(* random traces rarely give a site more than the five observations
+   after which P² depends on their order; perl's tiny input gives
+   hundreds of sites many allocations, spread over 64-event chunks *)
+let on_demand_quartiles_perl () =
+  let trace = Lp_workloads.Registry.trace ~program:"perl" ~input:"tiny" () in
+  Alcotest.(check bool) "quartiles match" true
+    (on_demand_quartiles (trace, 64, [ 1; 2; 3 ]))
+
 (* -- growth fallback: a source with no object-count hint ------------------------- *)
 
 (* a text stream announces no object count, so every per-object table of
@@ -324,6 +396,9 @@ let suites =
         Alcotest.test_case "README rules table" `Quick readme_rules_table;
         QCheck_alcotest.to_alcotest audit_equivalence;
         QCheck_alcotest.to_alcotest audit_equivalence_realloc;
+        QCheck_alcotest.to_alcotest on_demand_quartiles_match;
+        Alcotest.test_case "on-demand quartiles over perl tiny" `Quick
+          on_demand_quartiles_perl;
         Alcotest.test_case "audit of an unhinted text stream" `Quick
           audit_text_stream_growth;
         Alcotest.test_case "pair table against a Hashtbl model" `Quick
